@@ -25,7 +25,7 @@ from typing import Callable
 
 from .core import CanonicalForm, Tournament, aut_size, canonical_form, pair_count
 from .enumeration import TournamentCatalog
-from .fas import min_fas
+from .fas import FasResult, _fas_from_table, _histogram_counts, _ordering_table
 
 __all__ = [
     "ForwardHistogram",
@@ -42,9 +42,6 @@ __all__ = [
     "in_F",
     "classify_catalog",
 ]
-
-_DIGIT = 32  # packed-histogram digit width; counts stay below 10! < 2^22
-
 
 class OddCoefficientResidue(ArithmeticError):
     """A bias polynomial came out with a nonzero odd coefficient, which is
@@ -136,43 +133,14 @@ class ClassificationRecord:
     aut: int
     typical_density: Fraction
     bias: BiasPolynomial
-    fas: int
+    fas: FasResult
     in_Bh: bool
 
 
 def forward_histogram(t: Tournament) -> ForwardHistogram:
-    """Exact ordering histogram via DP over vertex subsets.
-
-    ways[S] accumulates, per forward-edge count k, the orderings of subset
-    S; appending v after S\\{v} adds as many forward edges as v has
-    in-neighbours inside S\\{v}.  The k-indexed array is packed into one
-    big integer with 32-bit digits, which keeps the inner loop to a single
-    shift-and-add.
-    """
-    h = t.h
-    out = t.out_masks
-    full = (1 << h) - 1
-    inmask = tuple(full & ~out[v] & ~(1 << v) for v in range(h))
-    ways = [0] * (1 << h)
-    ways[0] = 1
-    for s in range(1, 1 << h):
-        acc = 0
-        rest_bits = s
-        while rest_bits:
-            v_bit = rest_bits & -rest_bits
-            rest_bits ^= v_bit
-            v = v_bit.bit_length() - 1
-            prev = s ^ v_bit
-            k = (inmask[v] & prev).bit_count()
-            acc += ways[prev] << (k * _DIGIT)
-        ways[s] = acc
-    packed = ways[full]
-    m = pair_count(h)
-    mask = (1 << _DIGIT) - 1
-    counts = tuple((packed >> (k * _DIGIT)) & mask for k in range(m + 1))
-    if sum(counts) != factorial(h):
-        raise AssertionError(f"histogram mass {sum(counts)} != {h}!")
-    return ForwardHistogram(h, counts)
+    """Exact ordering histogram: the full-set entry of the subset DP that
+    also gives a(H) (see ``tourlab.fas``)."""
+    return ForwardHistogram(t.h, _histogram_counts(t, _ordering_table(t)))
 
 
 @lru_cache(maxsize=None)
@@ -199,7 +167,10 @@ def bias_polynomial(t: Tournament) -> BiasPolynomial:
     Odd coefficients must cancel; a nonzero residue raises
     OddCoefficientResidue.
     """
-    hist = forward_histogram(t)
+    return _bias_from_histogram(t, forward_histogram(t))
+
+
+def _bias_from_histogram(t: Tournament, hist: ForwardHistogram) -> BiasPolynomial:
     m = hist.m
     table = _recentre_table(t.h)
     nums = [0] * (m + 1)
@@ -251,8 +222,12 @@ def in_bias_subset(t: Tournament) -> bool:
     transitive with density 1) and there is no strict local minimum;
     returns False.
     """
-    tail = [c for e, c in bias_polynomial(t).coeffs if e > 0]
-    return bool(tail) and tail[0] > 0
+    return _rises_at_zero(bias_polynomial(t))
+
+
+def _rises_at_zero(bias: BiasPolynomial) -> bool:
+    # coeffs[1] is the lowest-order nonzero coefficient of B(H,x) - d(H)
+    return len(bias.coeffs) > 1 and bias.coeffs[1][1] > 0
 
 
 def in_F(t: Tournament, x: Fraction) -> bool:
@@ -265,15 +240,15 @@ def in_F(t: Tournament, x: Fraction) -> bool:
 
 
 def _classify_one(t: Tournament) -> ClassificationRecord:
-    bias = bias_polynomial(t)
-    tail = [c for e, c in bias.coeffs if e > 0]
+    table = _ordering_table(t)
+    bias = _bias_from_histogram(t, ForwardHistogram(t.h, _histogram_counts(t, table)))
     return ClassificationRecord(
         canonical_form=canonical_form(t),
         aut=aut_size(t),
         typical_density=typical_density(t),
         bias=bias,
-        fas=min_fas(t).a,
-        in_Bh=bool(tail) and tail[0] > 0,
+        fas=_fas_from_table(t, table),
+        in_Bh=_rises_at_zero(bias),
     )
 
 

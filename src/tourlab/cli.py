@@ -52,8 +52,8 @@ from .construct import (
     build_transversal,
 )
 from .density import TooLarge, bias_margin, dominance_report
-from .enumeration import Unsupported, load_or_enumerate
-from .fas import BadParameters, min_fas
+from .enumeration import Unsupported, _write_cache, load_or_enumerate
+from .fas import BadParameters
 
 __all__ = ["main"]
 
@@ -73,12 +73,14 @@ _USER_ERRORS = (
     ValueError,
     FileNotFoundError,
 )
-_GUARD_ERRORS = (TooLarge, Unsupported)
-_INTERNAL_ERRORS = (OddCoefficientResidue, AssertionError, PackingFailed)
 
 
 class LongRunGuard(Exception):
     """A computation gated behind --allow-long was requested without it."""
+
+
+_GUARD_ERRORS = (TooLarge, Unsupported, LongRunGuard)
+_INTERNAL_ERRORS = (OddCoefficientResidue, AssertionError, PackingFailed)
 
 
 def _fraction(text: str) -> Fraction:
@@ -175,14 +177,13 @@ def _classification_rows(records: list[ClassificationRecord], with_fas_extras: b
             aut=rec.aut,
             d_num=rec.typical_density.numerator,
             d_den=rec.typical_density.denominator,
-            fas=rec.fas,
+            fas=rec.fas.a,
             in_Bh=int(rec.in_Bh),
             coeffs=" ".join(f"{e}:{_frac_str(c)}" for e, c in rec.bias.coeffs),
         )
         if with_fas_extras:
-            result = min_fas(rec.canonical_form.tournament())
-            row["max_forward"] = result.max_forward
-            row["witness"] = " ".join(str(v + 1) for v in result.witness_order)
+            row["max_forward"] = rec.fas.max_forward
+            row["witness"] = " ".join(str(v + 1) for v in rec.fas.witness_order)
         emitter.add(**row)
     return emitter
 
@@ -238,8 +239,7 @@ def _cmd_enumerate(args) -> int:
         args.h, _cache_dir(args), threads=args.threads, progress=_progress_logger(args)
     )
     if args.out:
-        lines = [f"h={catalog.h}"] + [t.bits for t in catalog.items]
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        _write_cache(Path(args.out), catalog)
     print(f"h={args.h} classes={len(catalog)}")
     return 0
 
@@ -449,9 +449,6 @@ def main(argv: list[str] | None = None) -> int:
     _log_config(args)
     try:
         return args.func(args)
-    except LongRunGuard as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except _GUARD_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -22,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import Tournament, pair_count
+from .core import Tournament, pair_count, pair_index
 
 __all__ = [
     "BigTournament",
@@ -79,7 +79,7 @@ class BigTournament:
 
     def edge_bit(self, u: int, v: int) -> int:
         """1 if the edge between u<v is directed u->v, else 0."""
-        k = u * (self.n - 1) - u * (u - 1) // 2 + (v - u - 1)
+        k = pair_index(u, v, self.n)
         return (self.packed[k >> 3] >> (7 - (k & 7))) & 1
 
     def bit_array(self) -> np.ndarray:
@@ -105,6 +105,7 @@ class BigTournament:
         if len(lines) < 2 or not lines[0].startswith("n="):
             raise ValueError("expected header 'n=<n>' and a provenance line")
         n = int(lines[0][2:])
+        _check_n(n)
         provenance = json.loads(lines[1])
         bits = "".join(lines[2:])
         if len(bits) != pair_count(n) or bits.strip("01"):
@@ -157,18 +158,11 @@ def _rational_bits(m: int, p: Fraction, seed: int) -> np.ndarray:
     return out
 
 
-def _pair_indices(us: np.ndarray, vs: np.ndarray, n: int) -> np.ndarray:
-    """Vectorized pair index for 0-based u<v arrays."""
-    us = us.astype(np.int64)
-    vs = vs.astype(np.int64)
-    return us * (n - 1) - us * (us - 1) // 2 + (vs - us - 1)
-
-
 def _rect_indices(part_a: range, part_b: range, n: int) -> np.ndarray:
     """Pair indices of all (u, v) with u in part_a, v in part_b, u < v."""
     us = np.repeat(np.fromiter(part_a, dtype=np.int64), len(part_b))
     vs = np.tile(np.fromiter(part_b, dtype=np.int64), len(part_a))
-    return _pair_indices(us, vs, n)
+    return pair_index(us, vs, n)
 
 
 def build_tnp(n: int, p: Fraction | int, seed: int) -> BigTournament:

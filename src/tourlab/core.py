@@ -60,8 +60,8 @@ def pair_count(h: int) -> int:
     return h * (h - 1) // 2
 
 
-def pair_index(u: int, v: int, n: int) -> int:
-    """Index of the 0-based pair u<v in the fixed lexicographic pair order."""
+def pair_index(u, v, n: int):
+    """Index of the 0-based pair u<v in the fixed pair order (also on int64 arrays)."""
     return u * (n - 1) - u * (u - 1) // 2 + (v - u - 1)
 
 

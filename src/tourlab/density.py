@@ -19,7 +19,7 @@ from math import comb, sqrt
 import numpy as np
 
 from .bias import bias_polynomial, typical_density
-from .core import CanonicalForm, Tournament, canonical_form, pair_count
+from .core import CanonicalForm, Tournament, canonical_form, pair_count, pair_index
 from .construct import BigTournament, check_seed
 
 __all__ = [
@@ -74,13 +74,12 @@ def _subset_patterns(g: BigTournament, subsets: np.ndarray) -> np.ndarray:
     h = subsets.shape[1]
     bits = g.bit_array()
     patterns = np.zeros(len(subsets), dtype=np.int64)
-    n = g.n
     shift = pair_count(h)
     for a in range(h):
         for b in range(a + 1, h):
             us = subsets[:, a].astype(np.int64)
             vs = subsets[:, b].astype(np.int64)
-            idx = us * (n - 1) - us * (us - 1) // 2 + (vs - us - 1)
+            idx = pair_index(us, vs, g.n)
             shift -= 1
             patterns |= bits[idx].astype(np.int64) << shift
     return patterns

@@ -8,13 +8,14 @@ completeness and is checked in the test suite.
 
 from __future__ import annotations
 
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .core import MAX_VERTICES, Tournament, pair_count
+from .core import Tournament, pair_count
 from .core import _canon_search
 
 __all__ = [
@@ -25,6 +26,11 @@ __all__ = [
     "load_or_enumerate",
     "cache_path",
 ]
+
+
+# Isomorphism classes on h = 1..9 vertices (OEIS A000568); a cache file
+# must list exactly this many.
+_CLASS_COUNTS = (1, 1, 2, 4, 12, 56, 456, 6880, 191536)
 
 
 class Unsupported(ValueError):
@@ -51,12 +57,9 @@ class TournamentCatalog:
 
 
 def _extend_all(h: int, parents: list[str]) -> set[int]:
-    """Extend (h-1)-vertex canonical forms by one vertex; return canon ints.
-
-    Deduplication buckets by sorted out-degree sequence before comparing
-    full canonical forms.
-    """
-    found: dict[tuple[int, ...], set[int]] = {}
+    """Extend (h-1)-vertex canonical forms by one vertex under every
+    orientation pattern; return the set of canon ints reached."""
+    found: set[int] = set()
     full_old = (1 << (h - 1)) - 1
     for bits in parents:
         parent = Tournament(h - 1, bits).out_masks
@@ -65,13 +68,15 @@ def _extend_all(h: int, parents: list[str]) -> set[int]:
                 parent[v] | (((pattern >> v) & 1) << (h - 1)) for v in range(h - 1)
             ]
             masks.append(~pattern & full_old)
-            degseq = tuple(sorted(mask.bit_count() for mask in masks))
-            value, _ = _canon_search(h, tuple(masks))
-            found.setdefault(degseq, set()).add(value)
-    merged: set[int] = set()
-    for bucket in found.values():
-        merged |= bucket
-    return merged
+            found.add(_canon_search(h, tuple(masks))[0])
+    return found
+
+
+def _check_range(h: int) -> None:
+    if not 1 <= h <= len(_CLASS_COUNTS):
+        cost = (": its 9,733,056 classes would take an estimated 2.5+ hours to "
+                "enumerate and about 10 hours to classify on one thread") if h == 10 else ""
+        raise Unsupported(f"enumeration supports 1 <= h <= 9, got {h}{cost}")
 
 
 def enumerate_tournaments(
@@ -85,8 +90,7 @@ def enumerate_tournaments(
     ``threads``; parents are partitioned across workers and the result
     sets merged.  ``progress`` receives one status line per level.
     """
-    if not 1 <= h <= MAX_VERTICES:
-        raise Unsupported(f"enumeration supports 1 <= h <= {MAX_VERTICES}, got {h}")
+    _check_range(h)
     level: list[str] = [""]
     for k in range(2, h + 1):
         if threads > 1 and len(level) >= 4 * threads:
@@ -115,8 +119,8 @@ def _read_cache(path: Path, h: int) -> TournamentCatalog:
         raise ValueError(f"bad or missing header in {path}")
     m = pair_count(h)
     body = lines[1:]
-    if not body:
-        raise ValueError(f"no tournaments listed in {path}")
+    if len(body) != _CLASS_COUNTS[h - 1]:
+        raise ValueError(f"{path} lists {len(body)} classes, not {_CLASS_COUNTS[h - 1]}")
     for line in body:
         if len(line) != m or line.strip("01"):
             raise ValueError(f"malformed tournament line in {path}: {line!r}")
@@ -126,9 +130,16 @@ def _read_cache(path: Path, h: int) -> TournamentCatalog:
 
 
 def _write_cache(path: Path, catalog: TournamentCatalog) -> None:
+    """Write an 'h=<h>' header and one canon per line, through a temporary
+    file beside ``path`` so that no reader ever sees a partial catalog."""
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"h={catalog.h}"] + [t.bits for t in catalog.items]
-    path.write_text("\n".join(lines) + "\n")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_or_enumerate(
@@ -140,6 +151,7 @@ def load_or_enumerate(
     """Read the catalog from cache if present and well-formed, else
     enumerate and write it.  A malformed cache file is reported with a
     CorruptCacheWarning and regenerated."""
+    _check_range(h)
     path = cache_path(h, cache_dir)
     if path.exists():
         try:

@@ -50,43 +50,64 @@ class FasResult:
     witness_order: tuple[int, ...]
 
 
-def min_fas(t: Tournament) -> FasResult:
-    """Exact a(H) by DP over vertex subsets.
+_DIGIT = 32  # packed-histogram digit width; counts stay below 10! < 2^22
 
-    best[S] is the maximum forward-edge count over orderings of S; the
-    chosen last vertex is recorded for witness recovery, ties broken by
-    smallest vertex index.
-    """
+
+def _ordering_table(t: Tournament) -> list[int]:
+    """The one subset DP, behind both B(H,x) and a(H): digit k of table[S]
+    counts the orderings of S with exactly k forward edges.  Appending v
+    after S\\{v} adds as many forward edges as v has in-neighbours in
+    S\\{v}; packing keeps the inner loop to a single shift-and-add."""
     h = t.h
     out = t.out_masks
     full = (1 << h) - 1
     inmask = tuple(full & ~out[v] & ~(1 << v) for v in range(h))
-    best = [0] * (1 << h)
-    last = [0] * (1 << h)
+    table = [0] * (1 << h)
+    table[0] = 1
     for s in range(1, 1 << h):
-        top = -1
-        choice = 0
+        acc = 0
         rest_bits = s
         while rest_bits:
             v_bit = rest_bits & -rest_bits
             rest_bits ^= v_bit
             v = v_bit.bit_length() - 1
             prev = s ^ v_bit
-            cand = best[prev] + (inmask[v] & prev).bit_count()
-            if cand > top:
-                top = cand
-                choice = v
-        best[s] = top
-        last[s] = choice
+            k = (inmask[v] & prev).bit_count()
+            acc += table[prev] << (k * _DIGIT)
+        table[s] = acc
+    return table
+
+
+def _histogram_counts(t: Tournament, table: list[int]) -> tuple[int, ...]:
+    """N[k], k = 0..C(h,2): the digits of the full-set entry."""
+    mask = (1 << _DIGIT) - 1
+    counts = tuple((table[-1] >> (k * _DIGIT)) & mask for k in range(pair_count(t.h) + 1))
+    if sum(counts) != factorial(t.h):
+        raise AssertionError(f"histogram mass {sum(counts)} != {t.h}!")
+    return counts
+
+
+def _fas_from_table(t: Tournament, table: list[int]) -> FasResult:
+    """a(H) from best(S), the top digit of table[S].  The witness is rebuilt
+    backwards: the last vertex of S is the smallest v with
+    best(S\\{v}) + k_v = best(S)."""
+    best = [(packed.bit_length() - 1) // _DIGIT for packed in table]
+    out = t.out_masks
     order: list[int] = []
-    s = full
+    s = len(table) - 1
     while s:
-        v = last[s]
+        # s & ~out[v] is v plus its in-neighbours inside s
+        v = next(v for v in range(t.h) if (s >> v) & 1
+                 and best[s ^ (1 << v)] + (s & ~out[v]).bit_count() - 1 == best[s])
         order.append(v)
         s ^= 1 << v
-    order.reverse()
-    m = pair_count(h)
-    return FasResult(a=m - best[full], max_forward=best[full], witness_order=tuple(order))
+    return FasResult(pair_count(t.h) - best[-1], best[-1], tuple(order[::-1]))
+
+
+def min_fas(t: Tournament) -> FasResult:
+    """Exact a(H) by DP over vertex subsets, with a maximizing ordering;
+    ties between last vertices go to the smallest vertex index."""
+    return _fas_from_table(t, _ordering_table(t))
 
 
 def in_A(t: Tournament, threshold: Fraction | int) -> bool:

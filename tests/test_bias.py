@@ -217,6 +217,10 @@ class TestClassifyCatalog:
                 factorial(h), rec.aut * (1 << pair_count(h))
             )
             assert rec.bias.constant == rec.typical_density
+            t = rec.canonical_form.tournament()
+            assert rec.fas.max_forward == oracles.brute_max_forward(t)
+            assert oracles.forward_edges(t, rec.fas.witness_order) == rec.fas.max_forward
+            assert rec.in_Bh == in_bias_subset(t)
 
     def test_thread_count_invariance(self, catalogs):
         assert classify_catalog(catalogs[5], threads=1) == classify_catalog(

@@ -188,6 +188,9 @@ class TestSerialization:
     def test_reject_malformed(self):
         with pytest.raises(ValueError):
             BigTournament.from_text("n=10\n{}\n0101\n")
+        for n in (1, 3000):
+            with pytest.raises(ValueError, match="n must be in"):
+                BigTournament.from_text(f"n={n}\n{{}}\n" + "0" * pair_count(n) + "\n")
 
     def test_packed_is_read_only(self):
         g = build_tnp(20, Fraction(1, 2), seed=1)

@@ -53,6 +53,8 @@ def test_items_canonical_sorted_distinct(catalogs):
 def test_unsupported_range():
     with pytest.raises(Unsupported):
         enumerate_tournaments(11)
+    with pytest.raises(Unsupported, match="hours"):
+        enumerate_tournaments(10)
     with pytest.raises(Unsupported):
         enumerate_tournaments(0)
 
@@ -87,6 +89,19 @@ class TestCache:
             catalog = load_or_enumerate(4, tmp_path)
         assert len(catalog) == 4
         assert load_or_enumerate(4, tmp_path) == catalog
+
+    def test_cache_missing_lines_regenerates(self, tmp_path):
+        load_or_enumerate(6, tmp_path)
+        path = cache_path(6, tmp_path)
+        path.write_text("\n".join(path.read_text().splitlines()[:20]) + "\n")
+        with pytest.warns(CorruptCacheWarning):
+            catalog = load_or_enumerate(6, tmp_path)
+        assert len(catalog) == 56
+        assert len(path.read_text().splitlines()) == 57
+
+    def test_write_leaves_no_temporary_file(self, tmp_path):
+        load_or_enumerate(4, tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == [cache_path(4, tmp_path).name]
 
     def test_bad_header_regenerates(self, tmp_path):
         path = cache_path(4, tmp_path)
