@@ -232,11 +232,14 @@ def _rises_at_zero(bias: BiasPolynomial) -> bool:
 
 def in_F(t: Tournament, x: Fraction) -> bool:
     """True iff B(H,x) > d(H) at the exact rational bias x in (0, 1/2)."""
+    return _beats_typical(bias_polynomial(t), x)
+
+
+def _beats_typical(bias: BiasPolynomial, x: Fraction) -> bool:
     x = Fraction(x)
     if not 0 < x < Fraction(1, 2):
         raise XOutOfRange(f"x must lie in (0, 1/2), got {x}")
-    b = bias_polynomial(t)
-    return b.evaluate(x) > b.constant
+    return bias.evaluate(x) > bias.constant
 
 
 def _classify_one(t: Tournament) -> ClassificationRecord:

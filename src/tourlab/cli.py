@@ -28,8 +28,9 @@ from .bias import (
     ClassificationRecord,
     OddCoefficientResidue,
     XOutOfRange,
+    _beats_typical,
+    bias_polynomial,
     classify_catalog,
-    in_F,
 )
 from .core import (
     BadCharacter,
@@ -51,7 +52,7 @@ from .construct import (
     build_tnp,
     build_transversal,
 )
-from .density import TooLarge, bias_margin, dominance_report
+from .density import TooLarge, _margin, dominance_report
 from .enumeration import Unsupported, _write_cache, load_or_enumerate
 from .fas import BadParameters
 
@@ -117,14 +118,19 @@ def _check_long(h: int, args) -> None:
 def _resolve_patterns(selector: str, h_hint: int | None, cache_dir: Path) -> list[Tournament]:
     """A pattern argument: built-in name ('T5', 'C3'), 'all' for the whole
     catalog at --h, or a tournament file with an optional 'h=<k>' header."""
-    if selector == "C3":
-        return [cyclic3()]
-    if selector.startswith("T") and selector[1:].isdigit():
-        return [transitive(int(selector[1:]))]
     if selector == "all":
         if h_hint is None:
             raise ValueError("pattern 'all' needs --h")
         return list(load_or_enumerate(h_hint, cache_dir).items)
+    return _named_patterns(selector, h_hint)
+
+
+def _named_patterns(selector: str, h_hint: int | None) -> list[Tournament]:
+    """A built-in name ('T5', 'C3') or a tournament file; no catalog."""
+    if selector == "C3":
+        return [cyclic3()]
+    if selector.startswith("T") and selector[1:].isdigit():
+        return [transitive(int(selector[1:]))]
     return _read_pattern_file(Path(selector), h_hint)
 
 
@@ -281,7 +287,9 @@ def _cmd_construct(args) -> int:
         g = build_tnp(args.n, Fraction(args.p), args.seed)
     elif args.kind == "transversal":
         _require(args, "h", "hstar")
-        patterns = _resolve_patterns(args.hstar, None, Path(DEFAULT_CACHE))
+        if args.hstar == "all":
+            raise ValueError("--hstar takes one tournament ('T<k>', 'C3' or a file), not 'all'")
+        patterns = _named_patterns(args.hstar, None)
         if len(patterns) != 1:
             raise ValueError("--hstar must resolve to exactly one tournament")
         g = build_transversal(args.n, args.h, patterns[0], args.seed)
@@ -315,15 +323,16 @@ def _cmd_dominance_check(args) -> int:
     x = Fraction(args.x)
     g = BigTournament.load(args.graph)
     catalog = load_or_enumerate(args.h, _cache_dir(args), threads=args.threads)
-    members = [t for t in catalog.items if in_F(t, x)]
+    biases = [(t, bias_polynomial(t)) for t in catalog.items]
+    members = [(t, b) for t, b in biases if _beats_typical(b, x)]
     if not members:
         print(f"h={args.h} x={_frac_str(x)} family=0 satisfied=0")
         return 0
     beta = _opt_fraction(args.beta)
     if beta is None:
-        beta = bias_margin(members, x) / 2
+        beta = _margin([b for _, b in members], x) / 2
     reports = dominance_report(
-        members, g, beta,
+        [t for t, _ in members], g, beta,
         mode="montecarlo" if args.mode == "mc" else "exact",
         samples=args.samples, seed=args.seed,
     )

@@ -1,11 +1,14 @@
 """Exact and Monte-Carlo measurement of pattern densities in big tournaments.
 
 The density of an h-vertex pattern H in G is the probability that a
-uniformly random h-subset of G induces a copy of H.  Exact mode iterates
+uniformly random h-subset of G induces a copy of H.  Exact mode counts
 every subset; Monte-Carlo mode samples subsets with replacement.  Both
-canonicalize each induced sub-tournament once and look the result up in a
-table keyed by canonical form, so measuring a whole catalog against one G
-costs a single pass.
+count labeled patterns: the orientation bits of an induced sub-tournament,
+MSB-first in the fixed pair order, form its pattern code, and numpy tallies
+the codes.  Each distinct code is mapped to its isomorphism class once, at
+the end -- through a dense code -> canonical-code table for h <= 7, by
+canonical search above -- so measuring a whole catalog against one G costs
+a single pass.
 """
 
 from __future__ import annotations
@@ -13,12 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import combinations, permutations
 from math import comb, sqrt
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .bias import bias_polynomial, typical_density
+from .bias import BiasPolynomial, bias_polynomial, typical_density
 from .core import CanonicalForm, Tournament, canonical_form, pair_count, pair_index
 from .construct import BigTournament, check_seed
 
@@ -34,7 +38,8 @@ __all__ = [
 ]
 
 EXACT_SUBSET_GUARD = 10**8
-_CHUNK = 1 << 16
+_CHUNK = 1 << 16  # pattern codes computed per step, exact or Monte Carlo
+_TABLE_MAX_H = 7  # largest h with a dense code -> class table (2^21 entries)
 
 
 class TooLarge(ValueError):
@@ -65,39 +70,137 @@ class DensityReport:
 
 @lru_cache(maxsize=1 << 20)
 def _pattern_canon(h: int, pattern: int) -> str:
+    return canonical_form(Tournament(h, _bits(pattern, pair_count(h)))).bits
+
+
+def _bits(code: int, m: int) -> str:
+    return format(code, f"0{m}b") if m else ""
+
+
+def _shift(a: int, b: int, h: int) -> int:
+    """Bit position of pair a<b in a pattern code: MSB-first in pair order."""
+    return pair_count(h) - 1 - pair_index(a, b, h)
+
+
+@lru_cache(maxsize=None)
+def _canon_table(h: int) -> np.ndarray:
+    """canon[code] = canonical code of every labeled h-vertex pattern code.
+
+    The canonical form is the lex-min relabeled bit string, so its code is
+    the least code in the S_h orbit.  Codes are visited in increasing
+    order: the least code not yet written is the least of its orbit, and
+    is written over the whole orbit at once.  Relabeling by a permutation
+    moves the bit of pair (a, b) to pair (perm[a], perm[b]), flipped when
+    perm reverses the pair, so the images of a code under all h!
+    permutations are base + weight @ bits.
+    """
     m = pair_count(h)
-    return canonical_form(Tournament(h, format(pattern, f"0{m}b"))).bits
+    perms = np.array(list(permutations(range(h))), dtype=np.int64)
+    pairs = np.array(list(combinations(range(h), 2)), dtype=np.int64).reshape(-1, 2)
+    pa, pb = perms[:, pairs[:, 0]], perms[:, pairs[:, 1]]
+    dest = _shift(np.minimum(pa, pb), np.maximum(pa, pb), h)
+    flip = (pa > pb).astype(np.int64)
+    base = (flip << dest).sum(axis=1)
+    weight = (1 - 2 * flip) << dest
+    source = _shift(pairs[:, 0], pairs[:, 1], h)
+    canon = np.full(1 << m, -1, dtype=np.int32)
+    start = 0
+    while start < len(canon):
+        free = np.flatnonzero(canon[start : start + 4096] < 0)
+        if not free.size:
+            start += 4096
+            continue
+        code = start + int(free[0])
+        canon[base + weight @ ((code >> source) & 1)] = code
+        start = code + 1
+    canon.setflags(write=False)
+    return canon
 
 
-def _subset_patterns(g: BigTournament, subsets: np.ndarray) -> np.ndarray:
-    """Orientation pattern integer of each row of h sorted vertex indices."""
-    h = subsets.shape[1]
-    bits = g.bit_array()
-    patterns = np.zeros(len(subsets), dtype=np.int64)
-    shift = pair_count(h)
-    for a in range(h):
-        for b in range(a + 1, h):
-            us = subsets[:, a].astype(np.int64)
-            vs = subsets[:, b].astype(np.int64)
-            idx = pair_index(us, vs, g.n)
-            shift -= 1
-            patterns |= bits[idx].astype(np.int64) << shift
-    return patterns
+def _census(h: int, blocks: Iterable[np.ndarray]) -> dict[str, int]:
+    """{canonical bits: count} over all labeled pattern codes in blocks.
 
-
-def _census_from_patterns(h: int, patterns: np.ndarray) -> dict[str, int]:
-    values, counts = np.unique(patterns, return_counts=True)
+    Labeled codes are tallied first; each distinct code is mapped to its
+    class once, at the end: through the dense table for h <= _TABLE_MAX_H,
+    by canonical search above it, where a 2^C(h,2) table does not fit.
+    """
+    m = pair_count(h)
+    if h <= _TABLE_MAX_H:
+        labeled = np.zeros(1 << m, dtype=np.int64)
+        for codes in blocks:
+            labeled += np.bincount(codes, minlength=1 << m)
+        classes = np.zeros_like(labeled)
+        np.add.at(classes, _canon_table(h), labeled)
+        found = np.flatnonzero(classes)
+        return {_bits(c, m): n for c, n in zip(found.tolist(), classes[found].tolist())}
+    tally: dict[int, int] = {}
+    for codes in blocks:
+        values, counts = np.unique(codes, return_counts=True)
+        for value, count in zip(values.tolist(), counts.tolist()):
+            tally[value] = tally.get(value, 0) + count
     census: dict[str, int] = {}
-    for value, count in zip(values.tolist(), counts.tolist()):
+    for value, count in tally.items():
         key = _pattern_canon(h, value)
         census[key] = census.get(key, 0) + count
     return census
 
 
+def _adjacency(g: BigTournament) -> np.ndarray:
+    """Flat n*n uint8 matrix: entry u*n + v is 1 iff u -> v, for u < v."""
+    n = g.n
+    bits = g.bit_array()
+    adj = np.zeros((n, n), dtype=np.uint8)
+    start = 0
+    for u in range(n - 1):
+        adj[u, u + 1 :] = bits[start : start + n - 1 - u]
+        start += n - 1 - u
+    return adj.ravel()
+
+
+def _exact_codes(g: BigTournament, h: int) -> Iterator[np.ndarray]:
+    """Pattern codes of all h-subsets of G, in blocks of about _CHUNK.
+
+    Sorted vertex prefixes grow one vertex at a time; each new vertex ORs
+    its pairs with the prefix into the code.  Before each step the
+    prefixes are cut into runs whose completions to h-subsets total about
+    _CHUNK, so no array grows with C(n-1, h-1).
+    """
+    n = g.n
+    adj = _adjacency(g)
+    shifts = [[_shift(a, k, h) for a in range(k)] for k in range(h)]
+    # completions[k][v + 1]: h-subsets extending a k-prefix whose last vertex is v
+    completions = [
+        np.array([comb(n - 1 - v, h - k) for v in range(-1, n)], dtype=np.int64)
+        for k in range(h)
+    ]
+
+    def extend(rows: list[np.ndarray], last: np.ndarray, codes: np.ndarray, k: int):
+        # rows[a] holds n times vertex a of each prefix; last its vertex k-1
+        if k == h:
+            yield codes
+            return
+        size = completions[k][last + 1]
+        run = (np.cumsum(size) - size) // _CHUNK
+        lo = 0
+        for hi in [*(np.flatnonzero(np.diff(run)) + 1).tolist(), len(run)]:
+            choices = n - h + k - last[lo:hi]
+            parent = np.repeat(np.arange(lo, hi), choices)
+            first = np.cumsum(choices) - choices
+            vertex = np.arange(len(parent)) - np.repeat(first - last[lo:hi] - 1, choices)
+            new_codes = codes[parent]
+            new_rows = [row[parent] for row in rows]
+            for row, shift in zip(new_rows, shifts[k]):
+                new_codes |= adj[row + vertex].astype(np.int64) << shift
+            yield from extend([*new_rows, vertex * n], vertex, new_codes, k + 1)
+            lo = hi
+
+    yield from extend([], np.full(1, -1, dtype=np.int64), np.zeros(1, dtype=np.int64), 0)
+
+
 def density_census(g: BigTournament, h: int) -> dict[str, int]:
     """Exact copy counts of every h-class in G, keyed by canonical bits.
 
-    Iterates all C(n,h) subsets (guarded); the counts sum to C(n,h).
+    Counts all C(n,h) subsets (guarded); the counts sum to C(n,h).
     """
     if not 1 <= h <= g.n:
         raise ValueError(f"pattern size {h} does not fit a host on {g.n} vertices")
@@ -107,20 +210,23 @@ def density_census(g: BigTournament, h: int) -> dict[str, int]:
             f"C({g.n},{h}) = {total} exceeds the exact-mode guard "
             f"{EXACT_SUBSET_GUARD}; use Monte Carlo"
         )
-    census: dict[str, int] = {}
-    subsets = combinations(range(g.n), h)
-    while True:
-        chunk = np.array(list(islice(subsets, _CHUNK)), dtype=np.int32)
-        if chunk.size == 0:
-            break
-        for key, count in _census_from_patterns(h, _subset_patterns(g, chunk)).items():
-            census[key] = census.get(key, 0) + count
-    return census
+    return _census(h, _exact_codes(g, h))
 
 
-def _sample_subsets(n: int, h: int, samples: int, seed: int) -> np.ndarray:
-    """Uniform h-subsets with replacement, rows sorted; fixed-seed stream."""
-    rng = np.random.Generator(np.random.Philox(key=check_seed(seed)))
+def _subset_patterns(bits: np.ndarray, n: int, subsets: np.ndarray) -> np.ndarray:
+    """Pattern code of each row of h sorted vertex indices, given G's bit_array()."""
+    h = subsets.shape[1]
+    columns = [subsets[:, a].astype(np.int64) for a in range(h)]
+    patterns = np.zeros(len(subsets), dtype=np.int64)
+    for a in range(h):
+        for b in range(a + 1, h):
+            idx = pair_index(columns[a], columns[b], n)
+            patterns |= bits[idx].astype(np.int64) << _shift(a, b, h)
+    return patterns
+
+
+def _sample_subsets(rng: np.random.Generator, n: int, h: int, samples: int) -> np.ndarray:
+    """Uniform h-subsets with replacement drawn from rng, rows sorted."""
     rows = np.sort(rng.integers(0, n, size=(samples, h)), axis=1)
     while True:
         bad = (np.diff(rows, axis=1) == 0).any(axis=1)
@@ -130,16 +236,13 @@ def _sample_subsets(n: int, h: int, samples: int, seed: int) -> np.ndarray:
 
 
 def _mc_census(g: BigTournament, h: int, samples: int, seed: int) -> dict[str, int]:
-    check_seed(seed)
-    census: dict[str, int] = {}
-    done = 0
-    while done < samples:
-        take = min(_CHUNK, samples - done)
-        rows = _sample_subsets(g.n, h, take, (seed + done) % (1 << 64))
-        for key, count in _census_from_patterns(h, _subset_patterns(g, rows)).items():
-            census[key] = census.get(key, 0) + count
-        done += take
-    return census
+    """Census of samples uniform h-subsets: chunks of _CHUNK rows drawn in
+    sequence from one Philox stream keyed by seed."""
+    rng = np.random.Generator(np.random.Philox(key=check_seed(seed)))
+    bits = g.bit_array()
+    chunks = (min(_CHUNK, samples - done) for done in range(0, samples, _CHUNK))
+    return _census(h, (_subset_patterns(bits, g.n, _sample_subsets(rng, g.n, h, take))
+                       for take in chunks))
 
 
 def _report(
@@ -244,11 +347,9 @@ def bias_margin(patterns: list[Tournament], x: Fraction) -> Fraction:
     """
     if not patterns:
         raise ValueError("patterns must be nonempty")
-    best: Fraction | None = None
-    for t in patterns:
-        b = bias_polynomial(t)
-        value = b.evaluate(Fraction(x)) / b.constant - 1
-        if best is None or value < best:
-            best = value
-    assert best is not None
-    return best
+    return _margin([bias_polynomial(t) for t in patterns], x)
+
+
+def _margin(biases: list[BiasPolynomial], x: Fraction) -> Fraction:
+    x = Fraction(x)
+    return min(b.evaluate(x) / b.constant - 1 for b in biases)

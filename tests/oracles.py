@@ -5,7 +5,7 @@ free of the subset-DP / branch-and-bound code paths it checks."""
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from tourlab.core import Tournament
 
@@ -13,7 +13,7 @@ from tourlab.core import Tournament
 def all_labeled(h: int):
     m = h * (h - 1) // 2
     for x in range(1 << m):
-        yield Tournament(h, format(x, f"0{m}b"))
+        yield Tournament(h, format(x, f"0{m}b") if m else "")
 
 
 def brute_canonical(t: Tournament) -> str:
@@ -21,7 +21,25 @@ def brute_canonical(t: Tournament) -> str:
 
 
 def brute_isomorphic(a: Tournament, b: Tournament) -> bool:
-    return any(a.relabel(p).bits == b.bits for p in permutations(range(a.h)))
+    return any(a.relabel(p).bits == b.bits for p in _degree_preserving(a, b))
+
+
+def _degree_preserving(a: Tournament, b: Tournament):
+    """Every relabeling p of a with outdeg_a(v) == outdeg_b(p[v]) for all v.
+
+    An isomorphism keeps out-degrees, so these include all of them."""
+    da, db = a.out_degrees(), b.out_degrees()
+    if sorted(da) != sorted(db):
+        return
+    degrees = sorted(set(da))
+    sources = [[v for v in range(a.h) if da[v] == d] for d in degrees]
+    targets = [[w for w in range(b.h) if db[w] == d] for d in degrees]
+    for images in product(*(permutations(t) for t in targets)):
+        p = [0] * a.h
+        for source, image in zip(sources, images):
+            for v, w in zip(source, image):
+                p[v] = w
+        yield p
 
 
 def brute_aut(t: Tournament) -> int:

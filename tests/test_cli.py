@@ -192,6 +192,15 @@ class TestErrors:
                       "--seed", "1", "--out", str(tmp_path / "g.txt"))
         assert code == 2
 
+    def test_hstar_all_names_hstar(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = main(["construct", "--kind", "transversal", "--n", "30", "--h", "6",
+                     "--hstar", "all", "--seed", "1", "--out", str(tmp_path / "g.txt")])
+        assert code == 2
+        assert "--hstar" in capsys.readouterr().err.splitlines()[-1]
+        assert not (tmp_path / "g.txt").exists()
+        assert not (tmp_path / ".tourlab-cache").exists()
+
     def test_bad_fraction_is_usage_error(self, run):
         with pytest.raises(SystemExit) as err:
             run("construct", "--kind", "tnp", "--n", "10", "--p", "zzz",

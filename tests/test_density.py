@@ -3,13 +3,16 @@ from __future__ import annotations
 import math
 import statistics
 from fractions import Fraction
-from math import comb
+from itertools import combinations
+from math import comb, factorial
 
+import numpy as np
 import pytest
 
+from tourlab import density
 from tourlab.bias import density_poly_p
 from tourlab.construct import build_tnp
-from tourlab.core import canonical_form, cyclic3, transitive
+from tourlab.core import Tournament, aut_size, canonical_form, cyclic3, pair_count, transitive
 from tourlab.density import (
     TooLarge,
     bias_margin,
@@ -67,7 +70,78 @@ class TestExact:
             density_montecarlo(g, transitive(5), 10, seed=1)
 
 
+def _code(t: Tournament) -> int:
+    return int(t.bits, 2) if t.bits else 0
+
+
+class TestCanonTable:
+    # OEIS A000568: tournaments on h unlabeled vertices
+    CLASSES = {1: 1, 2: 1, 3: 2, 4: 4, 5: 12, 6: 56, 7: 456}
+
+    @pytest.mark.parametrize("h", [1, 2, 3, 4, 5])
+    def test_every_labeled_pattern(self, h):
+        table = density._canon_table(h)
+        for t in oracles.all_labeled(h):
+            assert table[_code(t)] == _code(canonical_form(t)), t.bits
+
+    @pytest.mark.parametrize("h", [6, 7])
+    def test_sampled_labeled_patterns(self, h):
+        table = density._canon_table(h)
+        m = pair_count(h)
+        for code in np.random.default_rng(h).integers(0, 1 << m, size=300).tolist():
+            t = Tournament(h, format(code, f"0{m}b"))
+            assert table[code] == _code(canonical_form(t)), t.bits
+
+    @pytest.mark.parametrize("h", [1, 2, 3, 4, 5, 6, 7])
+    def test_orbits_are_the_classes(self, catalogs, h):
+        classes, orbit = np.unique(density._canon_table(h), return_counts=True)
+        assert len(classes) == self.CLASSES[h]
+        assert orbit.sum() == 1 << pair_count(h)
+        expected = {_code(t): factorial(h) // aut_size(t) for t in catalogs[h]}
+        assert dict(zip(classes.tolist(), orbit.tolist())) == expected
+
+
+class TestCensus:
+    @pytest.mark.parametrize("h", [1, 2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_against_brute_density(self, h, extra):
+        n = max(h + extra, 2)
+        g = build_tnp(n, Fraction(1, 2), seed=100 * h + n)
+        census = density_census(g, h)
+        assert sum(census.values()) == comb(n, h)
+        for bits, count in census.items():
+            pattern = Tournament(h, bits)
+            assert canonical_form(pattern).bits == bits
+            assert oracles.brute_density(g, pattern) == Fraction(count, comb(n, h))
+
+    def test_small_blocks_match_brute_force(self, monkeypatch):
+        g = build_tnp(14, Fraction(2, 5), seed=8)
+        whole = density_census(g, 5)
+        monkeypatch.setattr(density, "_CHUNK", 7)
+        assert density_census(g, 5) == whole
+        for bits, count in whole.items():
+            assert oracles.brute_density(g, Tournament(5, bits)) == Fraction(count, comb(14, 5))
+
+    def test_host_spanning_several_blocks(self):
+        n, h = 30, 5
+        assert comb(n, h) > 2 * density._CHUNK
+        g = build_tnp(n, Fraction(1, 2), seed=12)
+        subsets = np.array(list(combinations(range(n), h)))
+        codes = density._subset_patterns(g.bit_array(), n, subsets)
+        assert density_census(g, h) == density._census(h, [codes])
+
+
 class TestMonteCarlo:
+    def test_seeds_do_not_share_chunks(self):
+        # chunks come from one stream per seed, not from seed + offset
+        chunk = density._CHUNK
+        g = build_tnp(40, Fraction(1, 2), seed=3)
+        first = density._mc_census(g, 4, chunk, seed=5)
+        both = density._mc_census(g, 4, 2 * chunk, seed=5)
+        second = {k: v - first.get(k, 0) for k, v in both.items() if v != first.get(k, 0)}
+        assert sum(second.values()) == chunk
+        assert second != density._mc_census(g, 4, chunk, seed=5 + chunk)
+
     def test_matches_exact_within_4_sigma(self):
         g = build_tnp(30, Fraction(1, 2), seed=21)
         exact = density_exact(g, transitive(4))
