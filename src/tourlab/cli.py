@@ -231,18 +231,16 @@ def _log_config(args) -> None:
     print(f"config: {json.dumps(config, sort_keys=True)}", file=sys.stderr)
 
 
-def _progress_logger(args):
-    """Progress lines on stderr for gated long runs, silence otherwise."""
-    if getattr(args, "h", None) and args.h >= LONG_RUN_THRESHOLD:
-        return lambda line: print(line, file=sys.stderr)
-    return None
+def _progress_logger(line: str) -> None:
+    """Progress and work-count lines go to stderr; stdout carries results only."""
+    print(line, file=sys.stderr)
 
 
 def _cmd_enumerate(args) -> int:
     _require(args, "h")
     _check_long(args.h, args)
     catalog = load_or_enumerate(
-        args.h, _cache_dir(args), threads=args.threads, progress=_progress_logger(args)
+        args.h, _cache_dir(args), threads=args.threads, progress=_progress_logger
     )
     if args.out:
         _write_cache(Path(args.out), catalog)
@@ -253,11 +251,10 @@ def _cmd_enumerate(args) -> int:
 def _records(args) -> list[ClassificationRecord]:
     _require(args, "h")
     _check_long(args.h, args)
-    progress = _progress_logger(args)
     catalog = load_or_enumerate(
-        args.h, _cache_dir(args), threads=args.threads, progress=progress
+        args.h, _cache_dir(args), threads=args.threads, progress=_progress_logger
     )
-    return classify_catalog(catalog, threads=args.threads, progress=progress)
+    return classify_catalog(catalog, threads=args.threads, progress=_progress_logger)
 
 
 def _cmd_bias_table(args) -> int:

@@ -1,9 +1,13 @@
 """Isomorph-free generation of all tournaments on h vertices, with caching.
 
-Generation extends each (h-1)-vertex class by a new vertex under all
-2^(h-1) orientation patterns, canonicalizes, and deduplicates.  The
-labeled-mass identity sum(h!/aut) = 2^C(h,2) over the catalog guards
-completeness and is checked in the test suite.
+Generation extends each (h-1)-vertex class by a new vertex, canonicalizes,
+and deduplicates.  Only the orientation patterns that give the new vertex
+the minimum score (out-degree) of the child are canonicalized: deleting a
+minimum-score vertex from any class leaves some (h-1)-vertex class, whose
+extension by that vertex's pattern is such a pattern, so no class is lost.
+The labeled-mass identity sum(h!/aut) = 2^C(h,2) over the catalog guards
+completeness and is checked in the test suite.  A cache file is read back
+only if every line is its own canonical form.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from pathlib import Path
 from typing import Callable
 
 from .core import Tournament, pair_count
-from .core import _canon_search
+from .core import _canon_search, _canonical_data
 
 __all__ = [
     "TournamentCatalog",
@@ -56,25 +60,47 @@ class TournamentCatalog:
         return iter(self.items)
 
 
-def _extend_all(h: int, parents: list[str]) -> set[int]:
-    """Extend (h-1)-vertex canonical forms by one vertex under every
-    orientation pattern; return the set of canon ints reached."""
+def _extend_all(h: int, parents: list[str]) -> tuple[set[int], int]:
+    """Extend (h-1)-vertex canonical forms by one vertex and return the set
+    of canon ints reached, with the number of canonical searches run.
+
+    Only patterns that give the new vertex the minimum score (out-degree)
+    of the child are searched.  That loses no class: a class C with a
+    minimum-score vertex v is reached from the parent isomorphic to C - v
+    with v's pattern, and there the new vertex has the minimum score.
+
+    Pattern bit v is 1 when parent vertex v beats the new vertex, whose
+    score is then d = h-1-popcount(pattern).  A parent vertex of score
+    below d-1 cannot reach d, so d is at most the least parent score plus
+    one; the parent vertices of score d-1 (``must[d]``) must beat the new
+    vertex.
+    """
     found: set[int] = set()
+    searched = 0
     full_old = (1 << (h - 1)) - 1
     for bits in parents:
         parent = Tournament(h - 1, bits).out_masks
+        scores = [mask.bit_count() for mask in parent]
+        top = min(scores) + 1
+        must = [0] * h
+        for v, score in enumerate(scores):
+            must[score + 1] |= 1 << v
         for pattern in range(1 << (h - 1)):
+            d = h - 1 - pattern.bit_count()
+            if d > top or pattern & must[d] != must[d]:
+                continue
             masks = [
                 parent[v] | (((pattern >> v) & 1) << (h - 1)) for v in range(h - 1)
             ]
             masks.append(~pattern & full_old)
             found.add(_canon_search(h, tuple(masks))[0])
-    return found
+            searched += 1
+    return found, searched
 
 
 def _check_range(h: int) -> None:
     if not 1 <= h <= len(_CLASS_COUNTS):
-        cost = (": its 9,733,056 classes would take an estimated 2.5+ hours to "
+        cost = (": its 9,733,056 classes would take an estimated 30 minutes to "
                 "enumerate and about 10 hours to classify on one thread") if h == 10 else ""
         raise Unsupported(f"enumeration supports 1 <= h <= 9, got {h}{cost}")
 
@@ -96,15 +122,18 @@ def enumerate_tournaments(
         if threads > 1 and len(level) >= 4 * threads:
             chunks = [level[i::threads] for i in range(threads)]
             canons: set[int] = set()
+            searched = 0
             with ProcessPoolExecutor(max_workers=threads) as pool:
-                for part in pool.map(_extend_all, [k] * threads, chunks):
+                for part, count in pool.map(_extend_all, [k] * threads, chunks):
                     canons |= part
+                    searched += count
         else:
-            canons = _extend_all(k, level)
+            canons, searched = _extend_all(k, level)
+        if progress is not None:
+            progress(f"level h={k}: {len(canons)} classes, {searched} of "
+                     f"{len(level) << (k - 1)} extensions searched")
         m = pair_count(k)
         level = [format(value, f"0{m}b") for value in sorted(canons)]
-        if progress is not None:
-            progress(f"level h={k}: {len(level)} classes")
     items = tuple(Tournament(h, bits) for bits in level)
     return TournamentCatalog(h, items)
 
@@ -126,6 +155,10 @@ def _read_cache(path: Path, h: int) -> TournamentCatalog:
             raise ValueError(f"malformed tournament line in {path}: {line!r}")
     if body != sorted(set(body)):
         raise ValueError(f"catalog in {path} is not sorted and duplicate-free")
+    # One lru-cached search per line; classification reuses it for aut(H).
+    for line in body:
+        if _canonical_data(h, line)[0] != line:
+            raise ValueError(f"tournament line in {path} is not canonical: {line!r}")
     return TournamentCatalog(h, tuple(Tournament(h, bits) for bits in body))
 
 

@@ -21,7 +21,9 @@ def run(capsys, tmp_path, monkeypatch):
     def invoke(*argv: str) -> tuple[int, str]:
         capsys.readouterr()
         code = main(list(argv))
-        return code, capsys.readouterr().out
+        captured = capsys.readouterr()
+        invoke.stderr = captured.err
+        return code, captured.out
 
     invoke.tmp_path = tmp_path
     return invoke
@@ -37,6 +39,14 @@ class TestEnumerate:
         assert code == 0 and out == "h=5 classes=12\n"
         code, out = run("enumerate", "--h", "3")
         assert code == 0 and out == "h=3 classes=2\n"
+
+    def test_level_lines_report_work_on_stderr(self, run):
+        code, out = run("enumerate", "--h", "6")
+        assert code == 0 and out == "h=6 classes=56\n"
+        assert "level h=6: 56 classes, 106 of 384 extensions searched\n" in run.stderr
+        code, out = run("enumerate", "--h", "6")
+        assert code == 0 and out == "h=6 classes=56\n"
+        assert "level h=" not in run.stderr  # read from the cache
 
     def test_unsupported_guard(self, run):
         code, _ = run("enumerate", "--h", "11", "--allow-long")

@@ -4,11 +4,12 @@ from math import factorial
 
 import pytest
 
-from tourlab.core import aut_size, canonical_form, pair_count
+from tourlab.core import Tournament, aut_size, canonical_form, pair_count, pair_index
 from tourlab.enumeration import (
     CorruptCacheWarning,
     TournamentCatalog,
     Unsupported,
+    _extend_all,
     cache_path,
     enumerate_tournaments,
     load_or_enumerate,
@@ -16,12 +17,18 @@ from tourlab.enumeration import (
 
 import oracles
 
-KNOWN_COUNTS = {3: 2, 4: 4, 5: 12, 6: 56, 7: 456}
+KNOWN_COUNTS = {3: 2, 4: 4, 5: 12, 6: 56, 7: 456, 8: 6880}
+
+
+@pytest.fixture
+def catalog_at(request, catalogs):
+    """The catalog on h vertices, h=1..8 (h=8 from its own session fixture)."""
+    return lambda h: request.getfixturevalue("catalog8") if h == 8 else catalogs[h]
 
 
 @pytest.mark.parametrize("h,count", sorted(KNOWN_COUNTS.items()))
-def test_class_counts(catalogs, h, count):
-    assert len(catalogs[h]) == count
+def test_class_counts(catalog_at, h, count):
+    assert len(catalog_at(h)) == count
 
 
 @pytest.mark.parametrize("h", [1, 2])
@@ -35,9 +42,39 @@ def test_completeness_against_all_labeled(catalogs, h):
     assert canons == {t.bits for t in catalogs[h]}
 
 
+@pytest.mark.parametrize("h", [3, 4, 5])
+def test_catalog_matches_brute_canonical(catalogs, h):
+    canons = {oracles.brute_canonical(t) for t in oracles.all_labeled(h)}
+    assert [t.bits for t in catalogs[h]] == sorted(canons)
+
+
+def _extension(parent: Tournament, pattern: int) -> Tournament:
+    """parent plus a new last vertex; pattern bit v set means v beats it."""
+    h = parent.h + 1
+    bits = ["0"] * pair_count(h)
+    for u in range(parent.h):
+        for v in range(u + 1, parent.h):
+            bits[pair_index(u, v, h)] = str(parent.edge_bit(u, v))
+        bits[pair_index(u, parent.h, h)] = str((pattern >> u) & 1)
+    return Tournament(h, "".join(bits))
+
+
 @pytest.mark.parametrize("h", range(3, 8))
-def test_labeled_mass_identity(catalogs, h):
-    mass = sum(factorial(h) // aut_size(t) for t in catalogs[h])
+def test_extend_all_reaches_every_extension_class(catalogs, h):
+    parents = catalogs[h - 1]
+    every = {
+        int(canonical_form(_extension(parent, pattern)).bits, 2)
+        for parent in parents
+        for pattern in range(1 << (h - 1))
+    }
+    found, searched = _extend_all(h, [t.bits for t in parents])
+    assert found == every
+    assert len(every) <= searched < len(parents) << (h - 1)
+
+
+@pytest.mark.parametrize("h", range(3, 9))
+def test_labeled_mass_identity(catalog_at, h):
+    mass = sum(factorial(h) // aut_size(t) for t in catalog_at(h))
     assert mass == 1 << pair_count(h)
 
 
@@ -102,6 +139,16 @@ class TestCache:
     def test_write_leaves_no_temporary_file(self, tmp_path):
         load_or_enumerate(4, tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == [cache_path(4, tmp_path).name]
+
+    def test_non_canonical_line_regenerates(self, tmp_path):
+        # 010001 relabels 001000, so the body passes the count, sort and
+        # uniqueness checks while listing one class twice and missing 001001.
+        path = cache_path(4, tmp_path)
+        path.write_text("h=4\n000000\n000010\n001000\n010001\n")
+        with pytest.warns(CorruptCacheWarning, match="not canonical"):
+            catalog = load_or_enumerate(4, tmp_path)
+        assert [t.bits for t in catalog] == ["000000", "000010", "001000", "001001"]
+        assert path.read_text() == "h=4\n000000\n000010\n001000\n001001\n"
 
     def test_bad_header_regenerates(self, tmp_path):
         path = cache_path(4, tmp_path)
