@@ -27,53 +27,27 @@ from pathlib import Path
 from .bias import (
     ClassificationRecord,
     OddCoefficientResidue,
-    XOutOfRange,
     _beats_typical,
     bias_polynomial,
     classify_catalog,
 )
-from .core import (
-    BadCharacter,
-    BadSubset,
-    SizeMismatch,
-    Tournament,
-    WrongLength,
-    cyclic3,
-    parse,
-    transitive,
-)
+from .core import Tournament, cyclic3, parse, transitive
 from .construct import (
-    BadProbability,
     BigTournament,
-    NotMultiple,
     PackingFailed,
-    StarTooBig,
     build_blowup,
     build_tnp,
     build_transversal,
 )
 from .density import TooLarge, _margin, dominance_report
 from .enumeration import Unsupported, _write_cache, load_or_enumerate
-from .fas import BadParameters
 
 __all__ = ["main"]
 
 LONG_RUN_THRESHOLD = 9  # h >= this requires --allow-long
 DEFAULT_CACHE = ".tourlab-cache"
 
-_USER_ERRORS = (
-    WrongLength,
-    BadCharacter,
-    BadSubset,
-    SizeMismatch,
-    BadProbability,
-    NotMultiple,
-    StarTooBig,
-    BadParameters,
-    XOutOfRange,
-    ValueError,
-    FileNotFoundError,
-)
+_USER_ERRORS = (ValueError, OSError)
 
 
 class LongRunGuard(Exception):

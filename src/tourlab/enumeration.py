@@ -7,11 +7,12 @@ minimum-score vertex from any class leaves some (h-1)-vertex class, whose
 extension by that vertex's pattern is such a pattern, so no class is lost.
 The labeled-mass identity sum(h!/aut) = 2^C(h,2) over the catalog guards
 completeness and is checked in the test suite.  A cache file is read back
-only if every line is its own canonical form.
+only if byte-identical to the pinned catalog.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -19,8 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .core import Tournament, pair_count
-from .core import _canon_search, _canonical_data
+from .core import Tournament, _canon_search, pair_count
 
 __all__ = [
     "TournamentCatalog",
@@ -32,9 +32,21 @@ __all__ = [
 ]
 
 
-# Isomorphism classes on h = 1..9 vertices (OEIS A000568); a cache file
-# must list exactly this many.
-_CLASS_COUNTS = (1, 1, 2, 4, 12, 56, 456, 6880, 191536)
+# sha256 of the cache file that _write_cache writes for h = 1..9: the
+# header and the sorted canonical forms of all 1, 1, 2, 4, 12, 56, 456,
+# 6880, 191536 classes (OEIS A000568).  A cache file is read back only if
+# it has this digest.
+_CATALOG_SHA256 = (
+    "a4121cceabf8965b63b6aecbb2770c0231696b697d337f9503768a039d4d66bd",
+    "b1da2622df6870a3bbf8e8e2a78262907257209288ad1a083183fdd468e4895c",
+    "9dbc6057bb7cc783c5aad8ffc9f0e2d3d947a5b9a5ad3852ede4955bff3e733e",
+    "9e873e0837c24293afee71112c56418afda6a2d666e2d155bc52037f653250ee",
+    "bb0d42e73bac4f7b1837c0eabcb6f098c5bbd9e31715d067b4c123010d1a3672",
+    "e3f46394b1808e500c3ba3e562926638d10549966e3b9fc2df6d0b419b0e34e6",
+    "445b033aa07ead6b8d09da8217d6a17c38156bae7df6f03a225c0b3e9f3b0677",
+    "909bd1715ae7462a44f1abf91963d4788ffeaff6e02283fd191be7a14eb264b4",
+    "d239d4cf1d8c2b222eb002a4f6e8cdd5e65f8297cc013b20d76b7d6ecb8fec17",
+)
 
 
 class Unsupported(ValueError):
@@ -99,7 +111,7 @@ def _extend_all(h: int, parents: list[str]) -> tuple[set[int], int]:
 
 
 def _check_range(h: int) -> None:
-    if not 1 <= h <= len(_CLASS_COUNTS):
+    if not 1 <= h <= len(_CATALOG_SHA256):
         cost = (": its 9,733,056 classes would take an estimated 30 minutes to "
                 "enumerate and about 10 hours to classify on one thread") if h == 10 else ""
         raise Unsupported(f"enumeration supports 1 <= h <= 9, got {h}{cost}")
@@ -143,22 +155,11 @@ def cache_path(h: int, cache_dir: Path | str) -> Path:
 
 
 def _read_cache(path: Path, h: int) -> TournamentCatalog:
-    lines = path.read_text().splitlines()
-    if not lines or lines[0] != f"h={h}":
-        raise ValueError(f"bad or missing header in {path}")
-    m = pair_count(h)
-    body = lines[1:]
-    if len(body) != _CLASS_COUNTS[h - 1]:
-        raise ValueError(f"{path} lists {len(body)} classes, not {_CLASS_COUNTS[h - 1]}")
-    for line in body:
-        if len(line) != m or line.strip("01"):
-            raise ValueError(f"malformed tournament line in {path}: {line!r}")
-    if body != sorted(set(body)):
-        raise ValueError(f"catalog in {path} is not sorted and duplicate-free")
-    # One lru-cached search per line; classification reuses it for aut(H).
-    for line in body:
-        if _canonical_data(h, line)[0] != line:
-            raise ValueError(f"tournament line in {path} is not canonical: {line!r}")
+    data = path.read_bytes()
+    if hashlib.sha256(data).hexdigest() != _CATALOG_SHA256[h - 1]:
+        raise ValueError(f"catalog in {path} is not canonical: its sha256 differs "
+                         f"from the pinned h={h} catalog")
+    body = data.decode().splitlines()[1:]
     return TournamentCatalog(h, tuple(Tournament(h, bits) for bits in body))
 
 
@@ -169,7 +170,7 @@ def _write_cache(path: Path, catalog: TournamentCatalog) -> None:
     lines = [f"h={catalog.h}"] + [t.bits for t in catalog.items]
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text("\n".join(lines) + "\n")
+        tmp.write_text("\n".join(lines) + "\n", newline="\n")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -181,9 +182,9 @@ def load_or_enumerate(
     threads: int = 1,
     progress: Callable[[str], None] | None = None,
 ) -> TournamentCatalog:
-    """Read the catalog from cache if present and well-formed, else
-    enumerate and write it.  A malformed cache file is reported with a
-    CorruptCacheWarning and regenerated."""
+    """Read the catalog from cache if present, else enumerate and write it.
+    A cache file is read back only if byte-identical to the pinned catalog;
+    any other is reported with a CorruptCacheWarning and regenerated."""
     _check_range(h)
     path = cache_path(h, cache_dir)
     if path.exists():

@@ -126,13 +126,6 @@ class CertifiedValue:
         raise NotImplementedError
 
 
-def _raw_mpf_to_fraction(raw) -> Fraction:
-    sign, man, exp, _ = raw
-    frac = Fraction(int(man), 1)
-    frac = frac * (1 << exp) if exp >= 0 else frac / (1 << -exp)
-    return -frac if sign else frac
-
-
 @dataclass(frozen=True)
 class _SqrtLogOver(CertifiedValue):
     h: int
@@ -145,8 +138,7 @@ class _SqrtLogOver(CertifiedValue):
             value = ctx.sqrt(ctx.log(self.h) / self.h)
         finally:
             ctx.prec = old
-        raw_lo, raw_hi = value._mpi_
-        return _raw_mpf_to_fraction(raw_lo), _raw_mpf_to_fraction(raw_hi)
+        return tuple(Fraction(*mpmath.libmp.to_rational(raw)) for raw in value._mpi_)
 
 
 def sqrt_log_over(h: int) -> CertifiedValue:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import hashlib
 import io
 import math
 import os
@@ -29,7 +30,12 @@ from tourlab.density import (
     density_exact,
     density_montecarlo,
 )
-from tourlab.enumeration import enumerate_tournaments
+from tourlab.enumeration import (
+    _CATALOG_SHA256,
+    _write_cache,
+    cache_path,
+    enumerate_tournaments,
+)
 from tourlab.fas import min_fas
 
 import oracles
@@ -98,8 +104,13 @@ def test_criterion_01_enumeration_counts(all_catalogs):
 
 @pytest.mark.skipif(not LONG, reason="h=9 long run; set TOURLAB_LONG=1")
 @criterion(1, "optional h=9 enumeration count")
-def test_criterion_01_optional_h9():
-    assert len(enumerate_tournaments(9, threads=2)) == 191536
+def test_criterion_01_optional_h9(tmp_path):
+    catalog = enumerate_tournaments(9, threads=2)
+    assert len(catalog) == 191536
+    path = cache_path(9, tmp_path)
+    _write_cache(path, catalog)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == _CATALOG_SHA256[8], f"h=9 cache sha256 is {digest}"
 
 
 @criterion(2, "bias polynomial multisets for h=4 and h=5 are bit-exact")

@@ -171,8 +171,11 @@ class TestConstructAndDensity:
         assert total == 1
 
     def test_density_missing_file(self, run):
-        code, _ = run("density", "--graph", "nope.txt", "--pattern", "T4")
-        assert code == 2
+        run("construct", "--kind", "tnp", "--n", "8", "--p", "1/2",
+            "--seed", "1", "--out", "g.txt")
+        for graph, pattern in (("nope.txt", "T4"), (".", "T4"), ("g.txt", ".")):
+            code, _ = run("density", "--graph", graph, "--pattern", pattern)
+            assert code == 2, (graph, pattern)
 
     def test_density_guard(self, run, tmp_path):
         out_file = tmp_path / "g.txt"
@@ -201,6 +204,12 @@ class TestErrors:
         code, _ = run("construct", "--kind", "tnp", "--n", "10", "--p", "7/5",
                       "--seed", "1", "--out", str(tmp_path / "g.txt"))
         assert code == 2
+
+    def test_enumerate_out_directory(self, run, tmp_path):
+        (tmp_path / "out").mkdir()
+        code, _ = run("enumerate", "--h", "4", "--out", "out")
+        assert code == 2
+        assert "error:" in run.stderr.splitlines()[-1]
 
     def test_hstar_all_names_hstar(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import hashlib
 from math import factorial
 
 import pytest
 
+from tourlab import core, enumeration
 from tourlab.core import Tournament, aut_size, canonical_form, pair_count, pair_index
 from tourlab.enumeration import (
+    _CATALOG_SHA256,
     CorruptCacheWarning,
     TournamentCatalog,
     Unsupported,
     _extend_all,
+    _write_cache,
     cache_path,
     enumerate_tournaments,
     load_or_enumerate,
@@ -121,11 +125,15 @@ class TestCache:
     def test_truncated_file_regenerates_with_warning(self, tmp_path):
         load_or_enumerate(4, tmp_path)
         path = cache_path(4, tmp_path)
-        path.write_text(path.read_text()[:-4])
-        with pytest.warns(CorruptCacheWarning):
-            catalog = load_or_enumerate(4, tmp_path)
-        assert len(catalog) == 4
-        assert load_or_enumerate(4, tmp_path) == catalog
+        good = path.read_text()
+        flipped = good[:-2] + "10"[int(good[-2])] + "\n"  # last orientation bit
+        for bad in (good[:-4], flipped):
+            path.write_text(bad)
+            with pytest.warns(CorruptCacheWarning):
+                catalog = load_or_enumerate(4, tmp_path)
+            assert len(catalog) == 4
+            assert path.read_text() == good
+            assert load_or_enumerate(4, tmp_path) == catalog
 
     def test_cache_missing_lines_regenerates(self, tmp_path):
         load_or_enumerate(6, tmp_path)
@@ -157,6 +165,26 @@ class TestCache:
         with pytest.warns(CorruptCacheWarning):
             catalog = load_or_enumerate(4, tmp_path)
         assert len(catalog) == 4
+
+    @pytest.mark.parametrize("h", range(1, 9))
+    def test_pinned_digest_is_the_written_catalog(self, catalog_at, tmp_path, h):
+        path = cache_path(h, tmp_path)
+        _write_cache(path, catalog_at(h))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == _CATALOG_SHA256[h - 1], f"h={h} cache sha256 is {digest}"
+
+    def test_warm_read_runs_no_canonical_search(self, catalog8, tmp_path, monkeypatch):
+        _write_cache(cache_path(8, tmp_path), catalog8)
+
+        def search(*args):
+            raise AssertionError("canonical search during a cache read")
+
+        monkeypatch.setattr(core, "_canon_search", search)
+        monkeypatch.setattr(enumeration, "_canon_search", search)
+        before = core._canonical_data.cache_info()
+        assert load_or_enumerate(8, tmp_path) == catalog8
+        after = core._canonical_data.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
 
     def test_catalog_is_immutable_value(self, tmp_path):
         catalog = load_or_enumerate(3, tmp_path)
