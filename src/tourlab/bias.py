@@ -10,8 +10,12 @@ The bias polynomial is the recentred form B(H,x) = d(H, x + 1/2); it is
 even, B(H,0) is the typical density, and summing it over all isomorphism
 classes gives the constant 1.
 
-Everything here is exact: coefficients are big-integer numerators over
-the denominator aut(H) * 2^m, converted to Fraction at the boundary.
+Both are one expansion, sum_k N[k] up^k down^(m-k), with the linear
+factors (1+2x, 1-2x) for B and (p, 1-p) for d: the terms are packed
+big integers at X = 2^D, and the coefficients are read back as the m+1
+signed base-X digits of the sum.  Everything here is exact: coefficients
+are integer numerators over aut(H) * 2^m (B) or aut(H) (d), converted to
+Fraction at the boundary.
 """
 
 from __future__ import annotations
@@ -20,10 +24,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 from typing import Callable
 
-from .core import CanonicalForm, Tournament, aut_size, canonical_form, pair_count
+from .core import CanonicalForm, Tournament, _canon_search, aut_size, pair_count
 from .enumeration import TournamentCatalog
 from .fas import FasResult, _fas_from_table, _histogram_counts, _ordering_table
 
@@ -143,22 +147,28 @@ def forward_histogram(t: Tournament) -> ForwardHistogram:
     return ForwardHistogram(t.h, _histogram_counts(t, _ordering_table(t)))
 
 
-@lru_cache(maxsize=None)
-def _recentre_table(h: int) -> tuple[tuple[int, ...], ...]:
-    """Integer coefficients of (1+2x)^k (1-2x)^(m-k) for k = 0..m.
+_Linear = tuple[int, int]  # a linear factor as (constant, x-coefficient)
 
-    Summing these against N[k] gives 2^m * aut(H) * B(H,x).
-    """
+
+@lru_cache(maxsize=None)
+def _packed_terms(h: int, up: _Linear, down: _Linear) -> tuple[int, int, tuple[int, ...]]:
+    """D, the digit offset and the terms up(X)^k down(X)^(m-k), X = 2^D.  A
+    coefficient of sum_k N[k] term[k] is at most h! * (max factor 1-norm)^m,
+    below X/4, in absolute value, so adding X/2 to each digit keeps it in [0, X)."""
     m = pair_count(h)
-    table = []
-    for k in range(m + 1):
-        coeffs = [0] * (m + 1)
-        for i in range(k + 1):
-            a = comb(k, i) << i
-            for j in range(m - k + 1):
-                coeffs[i + j] += a * comb(m - k, j) * ((-2) ** j)
-        table.append(tuple(coeffs))
-    return tuple(table)
+    norm = max(abs(up[0]) + abs(up[1]), abs(down[0]) + abs(down[1]))
+    width = (factorial(h) * norm**m).bit_length() + 2
+    offset = sum(1 << (width * e + width - 1) for e in range(m + 1))
+    up_x, down_x = up[0] + (up[1] << width), down[0] + (down[1] << width)
+    return width, offset, tuple(up_x**k * down_x ** (m - k) for k in range(m + 1))
+
+
+def _expand(h: int, counts: tuple[int, ...], up: _Linear, down: _Linear) -> list[int]:
+    """Integer coefficients, ascending, of sum_k counts[k] up^k down^(m-k)."""
+    width, offset, terms = _packed_terms(h, up, down)
+    packed = offset + sum(count * term for count, term in zip(counts, terms) if count)
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    return [((packed >> (width * e)) & mask) - half for e in range(len(terms))]
 
 
 def bias_polynomial(t: Tournament) -> BiasPolynomial:
@@ -167,42 +177,29 @@ def bias_polynomial(t: Tournament) -> BiasPolynomial:
     Odd coefficients must cancel; a nonzero residue raises
     OddCoefficientResidue.
     """
-    return _bias_from_histogram(t, forward_histogram(t))
+    return _bias_from_counts(t.h, forward_histogram(t).counts, aut_size(t))
 
 
-def _bias_from_histogram(t: Tournament, hist: ForwardHistogram) -> BiasPolynomial:
-    m = hist.m
-    table = _recentre_table(t.h)
-    nums = [0] * (m + 1)
-    for k, count in enumerate(hist.counts):
-        if not count:
-            continue
-        row = table[k]
-        for e in range(m + 1):
-            nums[e] += count * row[e]
-    den = aut_size(t) << m
+def _bias_from_counts(h: int, counts: tuple[int, ...], aut: int) -> BiasPolynomial:
+    """B(H,x) from N[k] and aut(H): 2^m aut B = sum_k N[k] (1+2x)^k (1-2x)^(m-k)."""
+    nums = _expand(h, counts, (1, 2), (1, -2))
+    m = pair_count(h)
+    den = aut << m
     for e in range(1, m + 1, 2):
         if nums[e]:
             raise OddCoefficientResidue(
-                f"odd coefficient x^{e} = {nums[e]}/{den} for {t.bits}"
+                f"odd coefficient x^{e} = {nums[e]}/{den} for h={h}, histogram {counts}"
             )
     coeffs = [(0, Fraction(nums[0], den))]
     for e in range(2, m + 1, 2):
         if nums[e]:
             coeffs.append((e, Fraction(nums[e], den)))
-    return BiasPolynomial(t.h, tuple(coeffs))
+    return BiasPolynomial(h, tuple(coeffs))
 
 
 def density_poly_p(t: Tournament) -> DensityPolynomialP:
     """d(H,p) as an exact polynomial: (1/aut) sum_k N[k] p^k (1-p)^(m-k)."""
-    hist = forward_histogram(t)
-    m = hist.m
-    nums = [0] * (m + 1)
-    for k, count in enumerate(hist.counts):
-        if not count:
-            continue
-        for j in range(m - k + 1):
-            nums[k + j] += count * comb(m - k, j) * ((-1) ** j)
+    nums = _expand(t.h, forward_histogram(t).counts, (0, 1), (1, -1))
     while len(nums) > 1 and nums[-1] == 0:
         nums.pop()
     aut = aut_size(t)
@@ -243,12 +240,13 @@ def _beats_typical(bias: BiasPolynomial, x: Fraction) -> bool:
 
 
 def _classify_one(t: Tournament) -> ClassificationRecord:
+    value, aut = _canon_search(t.h, t.out_masks)
     table = _ordering_table(t)
-    bias = _bias_from_histogram(t, ForwardHistogram(t.h, _histogram_counts(t, table)))
+    bias = _bias_from_counts(t.h, _histogram_counts(t, table), aut)
     return ClassificationRecord(
-        canonical_form=canonical_form(t),
-        aut=aut_size(t),
-        typical_density=typical_density(t),
+        canonical_form=CanonicalForm(t.h, format(value, f"0{t.m}b") if t.m else ""),
+        aut=aut,
+        typical_density=Fraction(factorial(t.h), aut << t.m),
         bias=bias,
         fas=_fas_from_table(t, table),
         in_Bh=_rises_at_zero(bias),

@@ -12,7 +12,6 @@ only if byte-identical to the pinned catalog.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -155,6 +154,7 @@ def cache_path(h: int, cache_dir: Path | str) -> Path:
 
 
 def _read_cache(path: Path, h: int) -> TournamentCatalog:
+    import hashlib  # here, not at module level: only a cache read needs OpenSSL
     data = path.read_bytes()
     if hashlib.sha256(data).hexdigest() != _CATALOG_SHA256[h - 1]:
         raise ValueError(f"catalog in {path} is not canonical: its sha256 differs "

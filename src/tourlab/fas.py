@@ -88,20 +88,21 @@ def _histogram_counts(t: Tournament, table: list[int]) -> tuple[int, ...]:
 
 
 def _fas_from_table(t: Tournament, table: list[int]) -> FasResult:
-    """a(H) from best(S), the top digit of table[S].  The witness is rebuilt
-    backwards: the last vertex of S is the smallest v with
-    best(S\\{v}) + k_v = best(S)."""
-    best = [(packed.bit_length() - 1) // _DIGIT for packed in table]
+    """a(H) from best(S), the top digit of table[S], read only along the
+    backtrack.  The witness is rebuilt backwards: the last vertex of S is
+    the smallest v with best(S\\{v}) + k_v = best(S)."""
     out = t.out_masks
     order: list[int] = []
     s = len(table) - 1
+    top = best = (table[s].bit_length() - 1) // _DIGIT
     while s:
         # s & ~out[v] is v plus its in-neighbours inside s
-        v = next(v for v in range(t.h) if (s >> v) & 1
-                 and best[s ^ (1 << v)] + (s & ~out[v]).bit_count() - 1 == best[s])
+        v = next(v for v in range(t.h) if (s >> v) & 1 and (s & ~out[v]).bit_count() - 1
+                 + (table[s ^ (1 << v)].bit_length() - 1) // _DIGIT == best)
         order.append(v)
         s ^= 1 << v
-    return FasResult(pair_count(t.h) - best[-1], best[-1], tuple(order[::-1]))
+        best = (table[s].bit_length() - 1) // _DIGIT
+    return FasResult(pair_count(t.h) - top, top, tuple(order[::-1]))
 
 
 def min_fas(t: Tournament) -> FasResult:

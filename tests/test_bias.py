@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 
 from tourlab.bias import (
+    OddCoefficientResidue,
     XOutOfRange,
+    _bias_from_counts,
     bias_polynomial,
     classify_catalog,
     density_poly_p,
@@ -17,7 +19,15 @@ from tourlab.bias import (
     in_bias_subset,
     typical_density,
 )
-from tourlab.core import aut_size, cyclic3, pair_count, reverse, transitive
+from tourlab.core import (
+    Tournament,
+    aut_size,
+    canonical_form,
+    cyclic3,
+    pair_count,
+    reverse,
+    transitive,
+)
 
 import oracles
 from strategies import tournaments
@@ -128,6 +138,11 @@ class TestBiasPolynomial:
         assert total[0] == 1
         assert all(c == 0 for e, c in total.items() if e > 0)
 
+    def test_odd_residue_raises(self):
+        # not a palindrome, so the odd coefficients of the expansion survive
+        with pytest.raises(OddCoefficientResidue):
+            _bias_from_counts(3, (1, 0, 0, 5), 1)
+
     def test_converse_duality(self, catalogs):
         for h in (3, 4, 5):
             for t in catalogs[h]:
@@ -158,6 +173,19 @@ class TestUpperRange:
         assert forward_histogram(t).total() == factorial(10)
         assert forward_histogram(t).counts[-1] == 1
         assert typical_density(t) == Fraction(factorial(10), 1 << pair_count(10))
+        assert bias_polynomial(t).evaluate(HALF) == 1
+
+    @pytest.mark.parametrize("t", [
+        transitive(10),
+        Tournament(10, "".join(random.Random(10).choice("01") for _ in range(45))),
+    ], ids=["transitive", "random"])
+    def test_h10_bias_matches_density(self, t):
+        # the widest packing: m = 45 digits
+        bias = bias_polynomial(t)
+        poly = density_poly_p(t)
+        assert bias.constant == typical_density(t)
+        for x in (Fraction(1, 10), Fraction(-1, 3), Fraction(2, 5)):
+            assert bias.evaluate(x) == poly.evaluate(x + HALF)
 
 
 class TestTypicalDensity:
@@ -211,16 +239,20 @@ class TestClassifyCatalog:
         assert sum(r.in_Bh for r in records) == b_count
 
     def test_record_consistency(self, catalogs):
-        for rec in classify_catalog(catalogs[5]):
-            h = rec.canonical_form.h
-            assert rec.typical_density == Fraction(
-                factorial(h), rec.aut * (1 << pair_count(h))
-            )
-            assert rec.bias.constant == rec.typical_density
-            t = rec.canonical_form.tournament()
-            assert rec.fas.max_forward == oracles.brute_max_forward(t)
-            assert oracles.forward_edges(t, rec.fas.witness_order) == rec.fas.max_forward
-            assert rec.in_Bh == in_bias_subset(t)
+        for h in (5, 6):
+            for t, rec in zip(catalogs[h], classify_catalog(catalogs[h])):
+                assert rec.canonical_form == canonical_form(t)
+                assert rec.aut == aut_size(t)
+                assert rec.bias == bias_polynomial(t)
+                if h == 5:
+                    assert rec.aut == oracles.brute_aut(t)
+                assert rec.typical_density == Fraction(
+                    factorial(h), rec.aut * (1 << pair_count(h))
+                )
+                assert rec.bias.constant == rec.typical_density
+                assert rec.fas.max_forward == oracles.brute_max_forward(t)
+                assert oracles.forward_edges(t, rec.fas.witness_order) == rec.fas.max_forward
+                assert rec.in_Bh == in_bias_subset(t)
 
     def test_thread_count_invariance(self, catalogs):
         assert classify_catalog(catalogs[5], threads=1) == classify_catalog(

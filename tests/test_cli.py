@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -250,6 +251,20 @@ class TestDeterminism:
         run("construct", "--kind", "tnp", "--n", "50", "--p", "1/2",
             "--seed", "9", "--out", str(f2))
         assert f1.read_bytes() == f2.read_bytes()
+
+
+class TestPinnedOutput:
+    # sha256 of the h=7 tables; classification must reproduce them byte for byte
+    PINS = {
+        "bias-table": "fdb1a0b81eba4a8c63536eabc0941452483328a1e8ab8390dcc3ebb9d00b0314",
+        "fas-table": "a98a20ac1ecf901203a761086dcf34f7df27cb1411db978618e549baf7ca50ac",
+    }
+
+    @pytest.mark.parametrize("command", sorted(PINS))
+    def test_h7_stdout_pinned(self, run, command):
+        code, out = run(command, "--h", "7")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINS[command]
 
 
 class TestConfigFile:

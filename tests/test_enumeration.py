@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -185,6 +189,17 @@ class TestCache:
         assert load_or_enumerate(8, tmp_path) == catalog8
         after = core._canonical_data.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_import_does_not_load_hashlib(self, tmp_path):
+        # hashlib loads OpenSSL; only a cache read needs it
+        path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, tourlab; print('hashlib' in sys.modules)"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
 
     def test_catalog_is_immutable_value(self, tmp_path):
         catalog = load_or_enumerate(3, tmp_path)
