@@ -5,6 +5,8 @@ minimum feedback arc sets, classifies dominant-family membership, and
 builds and measures explicit large-tournament constructions.
 """
 
+from importlib import import_module
+
 from .bias import (
     BiasPolynomial,
     ClassificationRecord,
@@ -18,13 +20,6 @@ from .bias import (
     in_bias_subset,
     typical_density,
 )
-from .construct import (
-    BigTournament,
-    build_blowup,
-    build_tnp,
-    build_transversal,
-    blowup_group_count,
-)
 from .core import (
     CanonicalForm,
     Tournament,
@@ -36,14 +31,6 @@ from .core import (
     parse,
     reverse,
     transitive,
-)
-from .density import (
-    DensityReport,
-    bias_margin,
-    density_census,
-    density_exact,
-    density_montecarlo,
-    dominance_report,
 )
 from .enumeration import (
     TournamentCatalog,
@@ -57,6 +44,34 @@ from .fas import (
     min_fas,
     sqrt_log_over,
 )
+
+# Public names of the numpy layers, resolved on first access (PEP 562), so
+# that importing tourlab for a catalog or table command never loads numpy.
+_LAZY = {
+    "BigTournament": "construct",
+    "build_blowup": "construct",
+    "build_tnp": "construct",
+    "build_transversal": "construct",
+    "blowup_group_count": "construct",
+    "DensityReport": "density",
+    "bias_margin": "density",
+    "density_census": "density",
+    "density_exact": "density",
+    "density_montecarlo": "density",
+    "dominance_report": "density",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
 
 __version__ = "0.1.0"
 

@@ -20,14 +20,21 @@ Fraction at the boundary.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from typing import Callable
 
-from .core import CanonicalForm, Tournament, _canon_search, aut_size, pair_count
+from .core import (
+    CanonicalForm,
+    Tournament,
+    _canon_search,
+    _pool_size,
+    _process_pool,
+    aut_size,
+    pair_count,
+)
 from .enumeration import TournamentCatalog
 from .fas import FasResult, _fas_from_table, _histogram_counts, _ordering_table
 
@@ -260,15 +267,17 @@ def classify_catalog(
 ) -> list[ClassificationRecord]:
     """One ClassificationRecord per class, in catalog order.
 
-    Entries are pure and data-parallel; results are merged in input order,
-    so the output is identical for any thread count.  ``progress``
+    Entries are pure and data-parallel over min(threads, CPUs) worker
+    processes; results are merged in input order, so the output is
+    identical for any thread count.  ``progress``
     receives a status line every few thousand classes.
     """
     items = list(catalog.items)
     records: list[ClassificationRecord] = []
     step = 4096
-    if threads > 1 and len(items) > 8 * threads:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = _pool_size(threads)
+    if workers > 1 and len(items) > 8 * workers:
+        with _process_pool(workers) as pool:
             for start in range(0, len(items), step):
                 chunk = items[start : start + step]
                 records.extend(pool.map(_classify_one, chunk, chunksize=64))

@@ -10,6 +10,16 @@ output files are deterministic given the configuration, including across
 
 Exit codes: 0 success, 2 bad arguments, 3 resource guard tripped,
 4 internal assertion.
+
+With --stats, one JSON line goes to stderr when the command ends, whether
+it succeeds or fails: stage wall times, the largest worker pool this
+process started, its peak RSS, the canonical searches the command ran in
+this process (pool workers are separate processes), the canonical-form
+cache counts and whether numpy and mpmath were loaded.  stdout is the same
+with or without it.
+
+Only the commands that read or build big tournaments (construct, density,
+dominance-check) import the numpy layers, inside their handlers.
 """
 
 from __future__ import annotations
@@ -20,10 +30,13 @@ import io
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from time import perf_counter
 
+from . import core
 from .bias import (
     ClassificationRecord,
     OddCoefficientResidue,
@@ -31,15 +44,7 @@ from .bias import (
     bias_polynomial,
     classify_catalog,
 )
-from .core import Tournament, cyclic3, parse, transitive
-from .construct import (
-    BigTournament,
-    PackingFailed,
-    build_blowup,
-    build_tnp,
-    build_transversal,
-)
-from .density import TooLarge, _margin, dominance_report
+from .core import PackingFailed, TooLarge, Tournament, cyclic3, parse, transitive
 from .enumeration import Unsupported, _write_cache, load_or_enumerate
 
 __all__ = ["main"]
@@ -210,104 +215,165 @@ def _progress_logger(line: str) -> None:
     print(line, file=sys.stderr)
 
 
-def _cmd_enumerate(args) -> int:
+class RunStats:
+    """Wall time per stage of one command, for the --stats line."""
+
+    def __init__(self) -> None:
+        self.start = perf_counter()
+        self.searches = core._canon_searches
+        self.stages: dict[str, float] = {}
+
+    @contextmanager
+    def stage(self, name: str):
+        start = perf_counter()
+        try:
+            yield
+        finally:
+            self.stages[name] = self.stages.get(name, 0.0) + perf_counter() - start
+
+    def line(self, command: str, code: int | None) -> str:
+        """One JSON object; ``exit`` is null when an uncaught exception ended
+        the command."""
+        import resource  # here, not at module level: only --stats reads it
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        return json.dumps({
+            "command": command,
+            "exit": code,
+            "total_s": round(perf_counter() - self.start, 6),
+            "stages_s": {name: round(t, 6) for name, t in self.stages.items()},
+            "workers": core._peak_workers,
+            "peak_rss_mb": round(rss / (1 << 20 if sys.platform == "darwin" else 1 << 10), 1),
+            "canon_searches": core._canon_searches - self.searches,
+            "canon_cache": core._canonical_data.cache_info()._asdict(),
+            "loaded": {name: name in sys.modules for name in ("numpy", "mpmath")},
+        }, sort_keys=True)
+
+
+def _cmd_enumerate(args, stats: RunStats) -> int:
     _require(args, "h")
     _check_long(args.h, args)
-    catalog = load_or_enumerate(
-        args.h, _cache_dir(args), threads=args.threads, progress=_progress_logger
-    )
+    with stats.stage("catalog"):
+        catalog = load_or_enumerate(
+            args.h, _cache_dir(args), threads=args.threads, progress=_progress_logger
+        )
     if args.out:
-        _write_cache(Path(args.out), catalog)
+        with stats.stage("output"):
+            _write_cache(Path(args.out), catalog)
     print(f"h={args.h} classes={len(catalog)}")
     return 0
 
 
-def _records(args) -> list[ClassificationRecord]:
+def _records(args, stats: RunStats) -> list[ClassificationRecord]:
     _require(args, "h")
     _check_long(args.h, args)
-    catalog = load_or_enumerate(
-        args.h, _cache_dir(args), threads=args.threads, progress=_progress_logger
-    )
-    return classify_catalog(catalog, threads=args.threads, progress=_progress_logger)
+    with stats.stage("catalog"):
+        catalog = load_or_enumerate(
+            args.h, _cache_dir(args), threads=args.threads, progress=_progress_logger
+        )
+    with stats.stage("classify"):
+        return classify_catalog(catalog, threads=args.threads, progress=_progress_logger)
 
 
-def _cmd_bias_table(args) -> int:
-    emitter = _classification_rows(_records(args), with_fas_extras=False)
-    _write_output(emitter.render(args.format), args.out)
+def _cmd_bias_table(args, stats: RunStats) -> int:
+    records = _records(args, stats)
+    with stats.stage("output"):
+        emitter = _classification_rows(records, with_fas_extras=False)
+        _write_output(emitter.render(args.format), args.out)
     return 0
 
 
-def _cmd_fas_table(args) -> int:
-    emitter = _classification_rows(_records(args), with_fas_extras=True)
-    _write_output(emitter.render(args.format), args.out)
+def _cmd_fas_table(args, stats: RunStats) -> int:
+    records = _records(args, stats)
+    with stats.stage("output"):
+        emitter = _classification_rows(records, with_fas_extras=True)
+        _write_output(emitter.render(args.format), args.out)
     return 0
 
 
-def _cmd_classify(args) -> int:
-    records = _records(args)
+def _cmd_classify(args, stats: RunStats) -> int:
+    records = _records(args, stats)
     total = len(records)
     hits = sum(r.in_Bh for r in records)
     print(f"h={args.h} |T_h|={total} |B_h|={hits} ratio_approx={hits / total!r}")
     return 0
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args, stats: RunStats) -> int:
     _require(args, "kind", "n", "seed", "out")
-    if args.kind == "tnp":
-        _require(args, "p")
-        g = build_tnp(args.n, Fraction(args.p), args.seed)
-    elif args.kind == "transversal":
-        _require(args, "h", "hstar")
-        if args.hstar == "all":
-            raise ValueError("--hstar takes one tournament ('T<k>', 'C3' or a file), not 'all'")
-        patterns = _named_patterns(args.hstar, None)
-        if len(patterns) != 1:
-            raise ValueError("--hstar must resolve to exactly one tournament")
-        g = build_transversal(args.n, args.h, patterns[0], args.seed)
-    else:
-        _require(args, "family")
-        family = _read_pattern_file(Path(args.family), args.h)
-        g = build_blowup(family, args.n, args.seed)
-    g.save(args.out)
+    with stats.stage("import"):
+        from .construct import build_blowup, build_tnp, build_transversal
+    with stats.stage("build"):
+        if args.kind == "tnp":
+            _require(args, "p")
+            g = build_tnp(args.n, Fraction(args.p), args.seed)
+        elif args.kind == "transversal":
+            _require(args, "h", "hstar")
+            if args.hstar == "all":
+                raise ValueError("--hstar takes one tournament ('T<k>', 'C3' or a file), not 'all'")
+            patterns = _named_patterns(args.hstar, None)
+            if len(patterns) != 1:
+                raise ValueError("--hstar must resolve to exactly one tournament")
+            g = build_transversal(args.n, args.h, patterns[0], args.seed)
+        else:
+            _require(args, "family")
+            family = _read_pattern_file(Path(args.family), args.h)
+            g = build_blowup(family, args.n, args.seed)
+    with stats.stage("output"):
+        g.save(args.out)
     print(f"kind={args.kind} n={g.n} out={args.out}")
     return 0
 
 
-def _cmd_density(args) -> int:
+def _cmd_density(args, stats: RunStats) -> int:
     _require(args, "graph", "pattern")
     if args.pattern == "all" and args.h is not None:
         _check_long(args.h, args)
-    g = BigTournament.load(args.graph)
-    patterns = _resolve_patterns(args.pattern, args.h, _cache_dir(args))
-    reports = dominance_report(
-        patterns, g, _opt_fraction(args.beta) or Fraction(0),
-        mode="montecarlo" if args.mode == "mc" else "exact",
-        samples=args.samples, seed=args.seed,
-    )
-    _write_output(_density_rows(reports).render(args.format), args.out)
+    with stats.stage("import"):
+        from .construct import BigTournament
+        from .density import dominance_report
+    with stats.stage("graph"):
+        g = BigTournament.load(args.graph)
+    with stats.stage("catalog"):
+        patterns = _resolve_patterns(args.pattern, args.h, _cache_dir(args))
+    with stats.stage("census"):
+        reports = dominance_report(
+            patterns, g, _opt_fraction(args.beta) or Fraction(0),
+            mode="montecarlo" if args.mode == "mc" else "exact",
+            samples=args.samples, seed=args.seed,
+        )
+    with stats.stage("output"):
+        _write_output(_density_rows(reports).render(args.format), args.out)
     return 0
 
 
-def _cmd_dominance_check(args) -> int:
+def _cmd_dominance_check(args, stats: RunStats) -> int:
     _require(args, "graph", "h", "x")
     _check_long(args.h, args)
     x = Fraction(args.x)
-    g = BigTournament.load(args.graph)
-    catalog = load_or_enumerate(args.h, _cache_dir(args), threads=args.threads)
-    biases = [(t, bias_polynomial(t)) for t in catalog.items]
-    members = [(t, b) for t, b in biases if _beats_typical(b, x)]
+    with stats.stage("import"):
+        from .construct import BigTournament
+        from .density import _margin, dominance_report
+    with stats.stage("graph"):
+        g = BigTournament.load(args.graph)
+    with stats.stage("catalog"):
+        catalog = load_or_enumerate(args.h, _cache_dir(args), threads=args.threads)
+    with stats.stage("bias"):
+        biases = [(t, bias_polynomial(t)) for t in catalog.items]
+        members = [(t, b) for t, b in biases if _beats_typical(b, x)]
     if not members:
         print(f"h={args.h} x={_frac_str(x)} family=0 satisfied=0")
         return 0
     beta = _opt_fraction(args.beta)
     if beta is None:
         beta = _margin([b for _, b in members], x) / 2
-    reports = dominance_report(
-        [t for t, _ in members], g, beta,
-        mode="montecarlo" if args.mode == "mc" else "exact",
-        samples=args.samples, seed=args.seed,
-    )
-    _write_output(_density_rows(reports).render(args.format), args.out)
+    with stats.stage("census"):
+        reports = dominance_report(
+            [t for t, _ in members], g, beta,
+            mode="montecarlo" if args.mode == "mc" else "exact",
+            samples=args.samples, seed=args.seed,
+        )
+    with stats.stage("output"):
+        _write_output(_density_rows(reports).render(args.format), args.out)
     satisfied = sum(1 for r in reports if r.margin is not None and r.margin > 0)
     print(
         f"h={args.h} x={_frac_str(x)} beta={_frac_str(beta)} "
@@ -323,6 +389,8 @@ def _add_common(sub, cache: bool = True) -> None:
                      help="permit h>=9 computations")
     sub.add_argument("--config", default=None,
                      help="JSON file of argument defaults")
+    sub.add_argument("--stats", action="store_true",
+                     help="write one JSON line of run statistics to stderr at exit")
     if cache:
         sub.add_argument("--cache-dir", default=DEFAULT_CACHE,
                          help="catalog cache directory (env TOURLAB_CACHE overrides)")
@@ -427,8 +495,23 @@ def main(argv: list[str] | None = None) -> int:
         )
     args = parser.parse_args(argv)
     _log_config(args)
+    stats = RunStats()
+    code = None
     try:
-        return args.func(args)
+        code = _run(args, stats)
+        return code
+    finally:
+        if args.stats:
+            print(stats.line(args.command, code), file=sys.stderr)
+
+
+def _run(args, stats: RunStats) -> int:
+    """The command's exit code: errors map to 2 (arguments), 3 (guards), 4
+    (internal)."""
+    try:
+        if args.threads < 1:
+            raise ValueError(f"--threads must be at least 1, got {args.threads}")
+        return args.func(args, stats)
     except _GUARD_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

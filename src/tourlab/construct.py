@@ -22,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import Tournament, pair_count, pair_index
+from .core import PackingFailed, Tournament, pair_count, pair_index
 
 __all__ = [
     "BigTournament",
@@ -51,10 +51,6 @@ class NotMultiple(ValueError):
 
 class StarTooBig(ValueError):
     """Planted pattern has too many vertices for the host parameters."""
-
-
-class PackingFailed(RuntimeError):
-    """Randomized clique packing did not succeed within the restart budget."""
 
 
 @dataclass(frozen=True, eq=False)

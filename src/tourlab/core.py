@@ -12,6 +12,7 @@ concurrent workers.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -25,6 +26,8 @@ __all__ = [
     "BadCharacter",
     "BadSubset",
     "SizeMismatch",
+    "TooLarge",
+    "PackingFailed",
     "parse",
     "transitive",
     "cyclic3",
@@ -54,6 +57,42 @@ class BadSubset(ValueError):
 
 class SizeMismatch(ValueError):
     """Pattern tournament is larger than the host."""
+
+
+# The two errors below belong to tourlab.density and tourlab.construct, which
+# re-export them; they live here so that the command line can map them to
+# exit codes without importing numpy.
+
+
+class TooLarge(ValueError):
+    """Exact mode would iterate more than density.EXACT_SUBSET_GUARD subsets."""
+
+
+class PackingFailed(RuntimeError):
+    """Randomized clique packing did not succeed within the restart budget."""
+
+
+# Process-wide work counts, reported by `tourlab --stats`: canonical searches
+# run in this process, and the largest process pool it started.
+_canon_searches = 0
+_peak_workers = 1
+
+
+def _pool_size(threads: int) -> int:
+    """Workers for a ``threads`` request: at most one per CPU, since output
+    never depends on the count and more processes would only contend."""
+    if threads < 1:
+        raise ValueError(f"need threads >= 1, got {threads}")
+    return min(threads, os.cpu_count() or 1)
+
+
+def _process_pool(workers: int):
+    """A ProcessPoolExecutor of ``workers`` processes.  Imported here, not at
+    module level: only a multi-worker run needs multiprocessing."""
+    global _peak_workers
+    from concurrent.futures import ProcessPoolExecutor
+    _peak_workers = max(_peak_workers, workers)
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def pair_count(h: int) -> int:
@@ -180,6 +219,8 @@ def _canon_search(h: int, out: tuple[int, ...]) -> tuple[int, int]:
     pruned against the incumbent.  Returns (canonical bits as an int,
     number of relabelings attaining it) -- the latter is aut(T).
     """
+    global _canon_searches
+    _canon_searches += 1
     m = h * (h - 1) // 2
     best: int | None = None
     naut = 0

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .bias import BiasPolynomial, bias_polynomial, typical_density
-from .core import CanonicalForm, Tournament, canonical_form, pair_count, pair_index
+from .core import CanonicalForm, TooLarge, Tournament, canonical_form, pair_count, pair_index
 from .construct import BigTournament, check_seed
 
 __all__ = [
@@ -40,10 +40,6 @@ __all__ = [
 EXACT_SUBSET_GUARD = 10**8
 _CHUNK = 1 << 16  # pattern codes computed per step, exact or Monte Carlo
 _TABLE_MAX_H = 7  # largest h with a dense code -> class table (2^21 entries)
-
-
-class TooLarge(ValueError):
-    """Exact mode would iterate more than EXACT_SUBSET_GUARD subsets."""
 
 
 @dataclass(frozen=True)
@@ -238,6 +234,8 @@ def _sample_subsets(rng: np.random.Generator, n: int, h: int, samples: int) -> n
 def _mc_census(g: BigTournament, h: int, samples: int, seed: int) -> dict[str, int]:
     """Census of samples uniform h-subsets: chunks of _CHUNK rows drawn in
     sequence from one Philox stream keyed by seed."""
+    if samples < 1:
+        raise ValueError(f"need samples >= 1, got {samples}")
     rng = np.random.Generator(np.random.Philox(key=check_seed(seed)))
     bits = g.bit_array()
     chunks = (min(_CHUNK, samples - done) for done in range(0, samples, _CHUNK))
@@ -297,8 +295,6 @@ def density_montecarlo(
     beta: Fraction | None = None,
 ) -> DensityReport:
     """Estimate density from uniform h-subsets sampled with replacement."""
-    if samples < 1:
-        raise ValueError(f"need samples >= 1, got {samples}")
     if not 1 <= pattern.h <= g.n:
         raise ValueError(f"pattern size {pattern.h} does not fit a host on {g.n} vertices")
     census = _mc_census(g, pattern.h, samples, seed)

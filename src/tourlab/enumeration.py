@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .core import Tournament, _canon_search, pair_count
+from .core import Tournament, _canon_search, _pool_size, _process_pool, pair_count
 
 __all__ = [
     "TournamentCatalog",
@@ -124,18 +123,20 @@ def enumerate_tournaments(
     """Complete catalog of tournaments on h vertices up to isomorphism.
 
     Deterministic order (sorted canonical bit sequences) regardless of
-    ``threads``; parents are partitioned across workers and the result
-    sets merged.  ``progress`` receives one status line per level.
+    ``threads``; parents are partitioned across min(threads, CPUs) worker
+    processes and the result sets merged.  ``progress`` receives one status
+    line per level.
     """
     _check_range(h)
+    workers = _pool_size(threads)
     level: list[str] = [""]
     for k in range(2, h + 1):
-        if threads > 1 and len(level) >= 4 * threads:
-            chunks = [level[i::threads] for i in range(threads)]
+        if workers > 1 and len(level) >= 4 * workers:
+            chunks = [level[i::workers] for i in range(workers)]
             canons: set[int] = set()
             searched = 0
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                for part, count in pool.map(_extend_all, [k] * threads, chunks):
+            with _process_pool(workers) as pool:
+                for part, count in pool.map(_extend_all, [k] * workers, chunks):
                     canons |= part
                     searched += count
         else:

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-import mpmath
-
 from .core import Tournament, pair_count
 
 __all__ = [
@@ -132,6 +130,7 @@ class _SqrtLogOver(CertifiedValue):
     h: int
 
     def bounds(self, precision: int) -> tuple[Fraction, Fraction]:
+        import mpmath  # here, not at module level: only certified bounds need it
         ctx = mpmath.iv
         old = ctx.prec
         try:

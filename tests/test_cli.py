@@ -221,6 +221,40 @@ class TestErrors:
         assert not (tmp_path / "g.txt").exists()
         assert not (tmp_path / ".tourlab-cache").exists()
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    @pytest.mark.parametrize("command", ["density", "dominance-check"])
+    def test_mc_sample_counts_below_one(self, run, command, samples):
+        run("construct", "--kind", "tnp", "--n", "20", "--p", "1/2",
+            "--seed", "1", "--out", "g.txt")
+        pattern = ("--pattern", "T4") if command == "density" else ("--h", "4", "--x", "1/10")
+        code, out = run(command, "--graph", "g.txt", *pattern, "--mode", "mc",
+                        "--samples", samples, "--seed", "1")
+        assert code == 2 and out == ""
+        assert "need samples >= 1" in run.stderr.splitlines()[-1]
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_thread_counts_below_one(self, run, threads):
+        for argv in (("enumerate", "--h", "5"),
+                     ("construct", "--kind", "tnp", "--n", "10", "--p", "1/2",
+                      "--seed", "1", "--out", "g.txt")):
+            code, out = run(*argv, "--threads", threads)
+            assert code == 2 and out == "", argv
+            assert "--threads" in run.stderr.splitlines()[-1]
+
+    def test_packing_failure_is_internal_error(self, run, tmp_path, monkeypatch):
+        from tourlab import construct
+
+        def fail(r, h, k, seed):
+            raise construct.PackingFailed(f"no {k} edge-disjoint K_{h} in K_{r}")
+
+        monkeypatch.setattr(construct, "_pack_cliques", fail)
+        family = tmp_path / "family.txt"
+        family.write_text("h=4\n111111\n")
+        code, _ = run("construct", "--kind", "blowup", "--n", "16", "--family",
+                      str(family), "--seed", "7", "--out", "g.txt")
+        assert code == 4
+        assert run.stderr.splitlines()[-1].startswith("internal error: no 1 edge-disjoint")
+
     def test_bad_fraction_is_usage_error(self, run):
         with pytest.raises(SystemExit) as err:
             run("construct", "--kind", "tnp", "--n", "10", "--p", "zzz",
@@ -251,6 +285,27 @@ class TestDeterminism:
         run("construct", "--kind", "tnp", "--n", "50", "--p", "1/2",
             "--seed", "9", "--out", str(f2))
         assert f1.read_bytes() == f2.read_bytes()
+
+
+class TestStats:
+    def test_stats_line_leaves_stdout_alone(self, run):
+        plain_code, plain = run("fas-table", "--h", "5")
+        assert not any(line.startswith("{") for line in run.stderr.splitlines())
+        code, out = run("fas-table", "--h", "5", "--stats")
+        assert (code, out) == (plain_code, plain)
+        stats = json.loads(run.stderr.splitlines()[-1])
+        assert stats["command"] == "fas-table" and stats["exit"] == 0
+        assert set(stats["stages_s"]) == {"catalog", "classify", "output"}
+        assert stats["workers"] >= 1 and stats["peak_rss_mb"] > 0
+        assert stats["canon_searches"] == 12  # warm cache: one per classified class
+        assert set(stats["canon_cache"]) == {"hits", "misses", "maxsize", "currsize"}
+        assert set(stats["loaded"]) == {"numpy", "mpmath"}
+
+    def test_stats_line_on_failure(self, run):
+        code, out = run("enumerate", "--h", "9", "--stats")
+        assert code == 3 and out == ""
+        stats = json.loads(run.stderr.splitlines()[-1])
+        assert stats["exit"] == 3 and stats["stages_s"] == {}
 
 
 class TestPinnedOutput:

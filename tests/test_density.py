@@ -221,6 +221,13 @@ class TestDominanceReport:
         )
         assert reports[0].estimate + reports[1].estimate == 1.0
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_mc_mode_rejects_sample_counts_below_one(self, samples):
+        g = build_tnp(20, Fraction(1, 2), seed=6)
+        with pytest.raises(ValueError, match="need samples >= 1"):
+            dominance_report([cyclic3()], g, beta=Fraction(0),
+                             mode="montecarlo", samples=samples, seed=1)
+
     def test_report_metadata(self):
         g = build_tnp(20, Fraction(1, 2), seed=6)
         report = density_exact(g, cyclic3(), beta=Fraction(1, 10))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import os
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from tourlab import core, enumeration
+from tourlab.bias import classify_catalog
 from tourlab.core import Tournament, aut_size, canonical_form, pair_count, pair_index
 from tourlab.enumeration import (
     _CATALOG_SHA256,
@@ -109,6 +111,44 @@ def test_deterministic_across_runs_and_threads():
     again = enumerate_tournaments(6)
     parallel = enumerate_tournaments(6, threads=2)
     assert single == again == parallel
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers: int) -> None:
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        return None
+
+    def map(self, fn, *iterables, chunksize: int = 1):
+        return map(fn, *iterables)
+
+
+def test_pool_size_is_capped_at_cpu_count(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(core, "_peak_workers", 1)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    catalog = enumerate_tournaments(6, threads=64)
+    assert catalog == enumerate_tournaments(6)
+    assert classify_catalog(catalog, threads=64) == classify_catalog(catalog)
+    assert _InlinePool.sizes and set(_InlinePool.sizes) == {2}
+    assert core._peak_workers == 2
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_thread_counts_below_one_rejected(threads):
+    with pytest.raises(ValueError, match="threads"):
+        enumerate_tournaments(5, threads=threads)
+    with pytest.raises(ValueError, match="threads"):
+        classify_catalog(enumerate_tournaments(3), threads=threads)
 
 
 class TestCache:
