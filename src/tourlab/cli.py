@@ -13,10 +13,10 @@ Exit codes: 0 success, 2 bad arguments, 3 resource guard tripped,
 
 With --stats, one JSON line goes to stderr when the command ends, whether
 it succeeds or fails: stage wall times, the largest worker pool this
-process started, its peak RSS, the canonical searches the command ran in
-this process (pool workers are separate processes), the canonical-form
-cache counts and whether numpy and mpmath were loaded.  stdout is the same
-with or without it.
+process started, its peak RSS, the canonical searches and subset DP runs
+the command ran in this process (pool workers are separate processes), the
+canonical-form cache counts and whether numpy and mpmath were loaded.
+stdout is the same with or without it.
 
 Only the commands that read or build big tournaments (construct, density,
 dominance-check) import the numpy layers, inside their handlers.
@@ -36,12 +36,11 @@ from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
 
-from . import core
+from . import core, fas
 from .bias import (
     ClassificationRecord,
     OddCoefficientResidue,
     _beats_typical,
-    bias_polynomial,
     classify_catalog,
 )
 from .core import PackingFailed, TooLarge, Tournament, cyclic3, parse, transitive
@@ -94,13 +93,15 @@ def _check_long(h: int, args) -> None:
         raise LongRunGuard(f"h={h} is a long computation; pass --allow-long to run it")
 
 
-def _resolve_patterns(selector: str, h_hint: int | None, cache_dir: Path) -> list[Tournament]:
+def _resolve_patterns(
+    selector: str, h_hint: int | None, cache_dir: Path, threads: int
+) -> list[Tournament]:
     """A pattern argument: built-in name ('T5', 'C3'), 'all' for the whole
     catalog at --h, or a tournament file with an optional 'h=<k>' header."""
     if selector == "all":
         if h_hint is None:
             raise ValueError("pattern 'all' needs --h")
-        return list(load_or_enumerate(h_hint, cache_dir).items)
+        return list(load_or_enumerate(h_hint, cache_dir, threads=threads).items)
     return _named_patterns(selector, h_hint)
 
 
@@ -221,6 +222,7 @@ class RunStats:
     def __init__(self) -> None:
         self.start = perf_counter()
         self.searches = core._canon_searches
+        self.dp_runs = fas._dp_runs
         self.stages: dict[str, float] = {}
 
     @contextmanager
@@ -244,6 +246,7 @@ class RunStats:
             "workers": core._peak_workers,
             "peak_rss_mb": round(rss / (1 << 20 if sys.platform == "darwin" else 1 << 10), 1),
             "canon_searches": core._canon_searches - self.searches,
+            "dp_runs": fas._dp_runs - self.dp_runs,
             "canon_cache": core._canonical_data.cache_info()._asdict(),
             "loaded": {name: name in sys.modules for name in ("numpy", "mpmath")},
         }, sort_keys=True)
@@ -334,7 +337,7 @@ def _cmd_density(args, stats: RunStats) -> int:
     with stats.stage("graph"):
         g = BigTournament.load(args.graph)
     with stats.stage("catalog"):
-        patterns = _resolve_patterns(args.pattern, args.h, _cache_dir(args))
+        patterns = _resolve_patterns(args.pattern, args.h, _cache_dir(args), args.threads)
     with stats.stage("census"):
         reports = dominance_report(
             patterns, g, _opt_fraction(args.beta) or Fraction(0),
@@ -357,9 +360,10 @@ def _cmd_dominance_check(args, stats: RunStats) -> int:
         g = BigTournament.load(args.graph)
     with stats.stage("catalog"):
         catalog = load_or_enumerate(args.h, _cache_dir(args), threads=args.threads)
-    with stats.stage("bias"):
-        biases = [(t, bias_polynomial(t)) for t in catalog.items]
-        members = [(t, b) for t, b in biases if _beats_typical(b, x)]
+    with stats.stage("classify"):
+        records = classify_catalog(catalog, threads=args.threads)
+        members = [(t, r.bias) for t, r in zip(catalog.items, records)
+                   if _beats_typical(r.bias, x)]
     if not members:
         print(f"h={args.h} x={_frac_str(x)} family=0 satisfied=0")
         return 0

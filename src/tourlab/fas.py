@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .core import Tournament, pair_count
@@ -50,29 +51,36 @@ class FasResult:
 
 _DIGIT = 32  # packed-histogram digit width; counts stay below 10! < 2^22
 
+# Subset DP runs in this process, reported by `tourlab --stats`.
+_dp_runs = 0
+
+
+@lru_cache(maxsize=None)
+def _subset_pairs(h: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each subset s of range(h), the pairs (s without v, v) for v in s,
+    in ascending v: the DP's predecessors of s, shared by every h-tournament."""
+    return tuple(tuple((s ^ (1 << v), v) for v in range(h) if (s >> v) & 1)
+                 for s in range(1 << h))
+
 
 def _ordering_table(t: Tournament) -> list[int]:
     """The one subset DP, behind both B(H,x) and a(H): digit k of table[S]
     counts the orderings of S with exactly k forward edges.  Appending v
-    after S\\{v} adds as many forward edges as v has in-neighbours in
-    S\\{v}; packing keeps the inner loop to a single shift-and-add."""
+    after prev = S\\{v} adds as many forward edges as v has in-neighbours
+    in prev; the (prev, v) pairs of every S come precomputed per h
+    (``_subset_pairs``), so each step is a single shift-and-add."""
+    global _dp_runs
+    _dp_runs += 1
     h = t.h
     out = t.out_masks
     full = (1 << h) - 1
     inmask = tuple(full & ~out[v] & ~(1 << v) for v in range(h))
-    table = [0] * (1 << h)
-    table[0] = 1
-    for s in range(1, 1 << h):
+    table = [1]
+    for pairs in _subset_pairs(h)[1:]:
         acc = 0
-        rest_bits = s
-        while rest_bits:
-            v_bit = rest_bits & -rest_bits
-            rest_bits ^= v_bit
-            v = v_bit.bit_length() - 1
-            prev = s ^ v_bit
-            k = (inmask[v] & prev).bit_count()
-            acc += table[prev] << (k * _DIGIT)
-        table[s] = acc
+        for prev, v in pairs:
+            acc += table[prev] << ((inmask[v] & prev).bit_count() * _DIGIT)
+        table.append(acc)
     return table
 
 
@@ -90,15 +98,16 @@ def _fas_from_table(t: Tournament, table: list[int]) -> FasResult:
     backtrack.  The witness is rebuilt backwards: the last vertex of S is
     the smallest v with best(S\\{v}) + k_v = best(S)."""
     out = t.out_masks
+    pairs = _subset_pairs(t.h)
     order: list[int] = []
     s = len(table) - 1
     top = best = (table[s].bit_length() - 1) // _DIGIT
     while s:
-        # s & ~out[v] is v plus its in-neighbours inside s
-        v = next(v for v in range(t.h) if (s >> v) & 1 and (s & ~out[v]).bit_count() - 1
-                 + (table[s ^ (1 << v)].bit_length() - 1) // _DIGIT == best)
+        # prev & ~out[v] is v's in-neighbours inside prev
+        prev, v = next((prev, v) for prev, v in pairs[s] if (prev & ~out[v]).bit_count()
+                       + (table[prev].bit_length() - 1) // _DIGIT == best)
         order.append(v)
-        s ^= 1 << v
+        s = prev
         best = (table[s].bit_length() - 1) // _DIGIT
     return FasResult(pair_count(t.h) - top, top, tuple(order[::-1]))
 

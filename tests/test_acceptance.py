@@ -1,5 +1,5 @@
 """Acceptance criteria, one test per criterion, each printing a PASS/FAIL
-line.  Run with ``pytest tests/test_acceptance.py -v -s``.  The two
+line.  Run with ``pytest tests/test_acceptance.py -v -s``.  The three
 long-running h=9 addenda are skipped unless TOURLAB_LONG=1 is set.
 """
 
@@ -166,6 +166,21 @@ def test_criterion_05_fas(all_catalogs):
             result = min_fas(t)
             assert 0 <= result.a <= half, t.bits
             assert oracles.forward_edges(t, result.witness_order) == result.max_forward
+
+
+# sha256 of `tourlab fas-table --h 9 --allow-long` stdout (58,531,119 bytes)
+FAS_TABLE_H9_SHA256 = "72b44fc0a72f15ee0f5f91896db4dc9825b7d5def35308e344dc6b244dc6d7ac"
+
+
+@pytest.mark.skipif(not LONG, reason="h=9 long run; set TOURLAB_LONG=1")
+@criterion(5, "optional h=9 fas-table stdout is byte-identical to its pin")
+def test_criterion_05_optional_h9_fas_table(tmp_path, monkeypatch, capsys):
+    from tourlab.cli import main
+
+    monkeypatch.setenv("TOURLAB_CACHE", str(tmp_path))
+    code = main(["fas-table", "--h", "9", "--allow-long", "--threads", "2"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert code == 0 and digest == FAS_TABLE_H9_SHA256, f"h=9 fas-table sha256 is {digest}"
 
 
 @criterion(6, "forward histograms: oracle h<=5, mass h<=8")

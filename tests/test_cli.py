@@ -185,6 +185,26 @@ class TestConstructAndDensity:
         code, _ = run("density", "--graph", str(out_file), "--pattern", "T5")
         assert code == 3
 
+    @pytest.mark.parametrize("stage, argv", [
+        ("load_or_enumerate", ("density", "--pattern", "all", "--h", "4")),
+        ("classify_catalog", ("dominance-check", "--h", "4", "--x", "1/10")),
+    ], ids=["density", "dominance-check"])
+    def test_catalog_stages_get_threads(self, run, tmp_path, monkeypatch, stage, argv):
+        from tourlab import cli
+
+        seen = []
+        real = getattr(cli, stage)
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs.get("threads"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, stage, recording)
+        run("construct", "--kind", "tnp", "--n", "12", "--p", "1/2",
+            "--seed", "3", "--out", str(tmp_path / "g.txt"))
+        code, _ = run(argv[0], "--graph", str(tmp_path / "g.txt"), *argv[1:], "--threads", "2")
+        assert code == 0 and seen == [2]
+
     def test_dominance_check(self, run, tmp_path):
         out_file = tmp_path / "g.txt"
         run("construct", "--kind", "tnp", "--n", "60", "--p", "3/5",
@@ -298,6 +318,7 @@ class TestStats:
         assert set(stats["stages_s"]) == {"catalog", "classify", "output"}
         assert stats["workers"] >= 1 and stats["peak_rss_mb"] > 0
         assert stats["canon_searches"] == 12  # warm cache: one per classified class
+        assert stats["dp_runs"] == 12
         assert set(stats["canon_cache"]) == {"hits", "misses", "maxsize", "currsize"}
         assert set(stats["loaded"]) == {"numpy", "mpmath"}
 

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
 from tourlab.bias import in_F
-from tourlab.core import cyclic3, pair_count, reverse, transitive
+from tourlab.core import Tournament, cyclic3, induced, pair_count, reverse, transitive
 from tourlab.fas import (
+    _DIGIT,
     BadParameters,
+    _ordering_table,
+    _subset_pairs,
     fas_dominance_condition,
     in_A,
     min_fas,
@@ -62,6 +66,28 @@ class TestMinFas:
         # smallest-index tie-break: both rotations reach 2 forward edges,
         # the reconstruction must settle on a fixed one
         assert min_fas(t).witness_order == (1, 2, 0)
+
+
+class TestOrderingTable:
+    @pytest.mark.parametrize("h", range(10))
+    def test_subset_pairs_list_each_member_once_ascending(self, h):
+        pairs = _subset_pairs(h)
+        assert len(pairs) == 1 << h
+        for s, entry in enumerate(pairs):
+            assert [v for _, v in entry] == [v for v in range(h) if (s >> v) & 1]
+            assert all(prev == s & ~(1 << v) for prev, v in entry)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_every_entry_matches_brute_histogram(self, seed):
+        rng = random.Random(seed)
+        h = 2 + seed % 6
+        t = Tournament(h, "".join(rng.choice("01") for _ in range(pair_count(h))))
+        table = _ordering_table(t)
+        assert len(table) == 1 << h and table[0] == 1
+        for s in range(1, 1 << h):
+            sub = induced(t, [v for v in range(h) if (s >> v) & 1])
+            packed = sum(c << (k * _DIGIT) for k, c in enumerate(oracles.brute_histogram(sub)))
+            assert table[s] == packed, (t.bits, s)
 
 
 class TestFasProperties:
