@@ -20,15 +20,17 @@ Fraction at the boundary.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
 from typing import Callable
 
 from .core import (
     CanonicalForm,
     Tournament,
+    _bits,
     _canon_search,
     _pool_size,
     _process_pool,
@@ -251,7 +253,7 @@ def _classify_one(t: Tournament) -> ClassificationRecord:
     table = _ordering_table(t)
     bias = _bias_from_counts(t.h, _histogram_counts(t, table), aut)
     return ClassificationRecord(
-        canonical_form=CanonicalForm(t.h, format(value, f"0{t.m}b") if t.m else ""),
+        canonical_form=CanonicalForm(t.h, _bits(value, t.m)),
         aut=aut,
         typical_density=Fraction(factorial(t.h), aut << t.m),
         bias=bias,
@@ -273,19 +275,14 @@ def classify_catalog(
     receives a status line every few thousand classes.
     """
     items = list(catalog.items)
+    workers = _pool_size(threads)
+    pooled = workers > 1 and len(items) > 8 * workers
     records: list[ClassificationRecord] = []
     step = 4096
-    workers = _pool_size(threads)
-    if workers > 1 and len(items) > 8 * workers:
-        with _process_pool(workers) as pool:
-            for start in range(0, len(items), step):
-                chunk = items[start : start + step]
-                records.extend(pool.map(_classify_one, chunk, chunksize=64))
-                if progress is not None:
-                    progress(f"classified {len(records)}/{len(items)}")
-        return records
-    for start in range(0, len(items), step):
-        records.extend(_classify_one(t) for t in items[start : start + step])
-        if progress is not None:
-            progress(f"classified {len(records)}/{len(items)}")
+    with _process_pool(workers) if pooled else nullcontext() as pool:
+        classify = partial(pool.map, chunksize=64) if pooled else map
+        for start in range(0, len(items), step):
+            records.extend(classify(_classify_one, items[start : start + step]))
+            if progress is not None:
+                progress(f"classified {len(records)}/{len(items)}")
     return records

@@ -44,7 +44,7 @@ from .bias import (
     classify_catalog,
 )
 from .core import PackingFailed, TooLarge, Tournament, cyclic3, parse, transitive
-from .enumeration import Unsupported, _write_cache, load_or_enumerate
+from .enumeration import TournamentCatalog, Unsupported, _write_cache, load_or_enumerate
 
 __all__ = ["main"]
 
@@ -52,6 +52,7 @@ LONG_RUN_THRESHOLD = 9  # h >= this requires --allow-long
 DEFAULT_CACHE = ".tourlab-cache"
 
 _USER_ERRORS = (ValueError, OSError)
+_MODES = {"exact": "exact", "mc": "montecarlo"}  # --mode -> census mode
 
 
 class LongRunGuard(Exception):
@@ -91,18 +92,6 @@ def _cache_dir(args) -> Path:
 def _check_long(h: int, args) -> None:
     if h >= LONG_RUN_THRESHOLD and not args.allow_long:
         raise LongRunGuard(f"h={h} is a long computation; pass --allow-long to run it")
-
-
-def _resolve_patterns(
-    selector: str, h_hint: int | None, cache_dir: Path, threads: int
-) -> list[Tournament]:
-    """A pattern argument: built-in name ('T5', 'C3'), 'all' for the whole
-    catalog at --h, or a tournament file with an optional 'h=<k>' header."""
-    if selector == "all":
-        if h_hint is None:
-            raise ValueError("pattern 'all' needs --h")
-        return list(load_or_enumerate(h_hint, cache_dir, threads=threads).items)
-    return _named_patterns(selector, h_hint)
 
 
 def _named_patterns(selector: str, h_hint: int | None) -> list[Tournament]:
@@ -252,13 +241,32 @@ class RunStats:
         }, sort_keys=True)
 
 
-def _cmd_enumerate(args, stats: RunStats) -> int:
-    _require(args, "h")
+def _catalog(args, stats: RunStats, host=None) -> TournamentCatalog:
+    """The --h catalog, read from the cache or enumerated on --threads
+    workers.  Given the host graph of a census, the census request is
+    checked first, so a bad one exits before any catalog work."""
+    if args.h is None:
+        raise ValueError("pattern 'all' needs --h" if args.command == "density"
+                         else f"{args.command} needs --h")
     _check_long(args.h, args)
+    if host is not None:
+        from .density import _census_total
+        _census_total(host.n, args.h, _MODES[args.mode], args.samples, args.seed)
     with stats.stage("catalog"):
-        catalog = load_or_enumerate(
+        return load_or_enumerate(
             args.h, _cache_dir(args), threads=args.threads, progress=_progress_logger
         )
+
+
+def _records(args, stats: RunStats, host=None) -> list[ClassificationRecord]:
+    """One classification record per class of the --h catalog."""
+    catalog = _catalog(args, stats, host)
+    with stats.stage("classify"):
+        return classify_catalog(catalog, threads=args.threads, progress=_progress_logger)
+
+
+def _cmd_enumerate(args, stats: RunStats) -> int:
+    catalog = _catalog(args, stats)
     if args.out:
         with stats.stage("output"):
             _write_cache(Path(args.out), catalog)
@@ -266,29 +274,11 @@ def _cmd_enumerate(args, stats: RunStats) -> int:
     return 0
 
 
-def _records(args, stats: RunStats) -> list[ClassificationRecord]:
-    _require(args, "h")
-    _check_long(args.h, args)
-    with stats.stage("catalog"):
-        catalog = load_or_enumerate(
-            args.h, _cache_dir(args), threads=args.threads, progress=_progress_logger
-        )
-    with stats.stage("classify"):
-        return classify_catalog(catalog, threads=args.threads, progress=_progress_logger)
-
-
-def _cmd_bias_table(args, stats: RunStats) -> int:
+def _cmd_table(args, stats: RunStats) -> int:
+    """bias-table, and fas-table with the max_forward and witness columns."""
     records = _records(args, stats)
     with stats.stage("output"):
-        emitter = _classification_rows(records, with_fas_extras=False)
-        _write_output(emitter.render(args.format), args.out)
-    return 0
-
-
-def _cmd_fas_table(args, stats: RunStats) -> int:
-    records = _records(args, stats)
-    with stats.stage("output"):
-        emitter = _classification_rows(records, with_fas_extras=True)
+        emitter = _classification_rows(records, with_fas_extras=args.command == "fas-table")
         _write_output(emitter.render(args.format), args.out)
     return 0
 
@@ -327,57 +317,50 @@ def _cmd_construct(args, stats: RunStats) -> int:
     return 0
 
 
-def _cmd_density(args, stats: RunStats) -> int:
-    _require(args, "graph", "pattern")
-    if args.pattern == "all" and args.h is not None:
-        _check_long(args.h, args)
+def _host(args, stats: RunStats):
+    """The --graph tournament of density and dominance-check."""
     with stats.stage("import"):
         from .construct import BigTournament
-        from .density import dominance_report
     with stats.stage("graph"):
-        g = BigTournament.load(args.graph)
-    with stats.stage("catalog"):
-        patterns = _resolve_patterns(args.pattern, args.h, _cache_dir(args), args.threads)
+        return BigTournament.load(args.graph)
+
+
+def _census(args, stats: RunStats, g, patterns: list[Tournament], beta: Fraction) -> list:
+    """Measure patterns in g by --mode and write the report rows."""
+    from .density import dominance_report
     with stats.stage("census"):
         reports = dominance_report(
-            patterns, g, _opt_fraction(args.beta) or Fraction(0),
-            mode="montecarlo" if args.mode == "mc" else "exact",
-            samples=args.samples, seed=args.seed,
+            patterns, g, beta, mode=_MODES[args.mode], samples=args.samples, seed=args.seed
         )
     with stats.stage("output"):
         _write_output(_density_rows(reports).render(args.format), args.out)
+    return reports
+
+
+def _cmd_density(args, stats: RunStats) -> int:
+    _require(args, "graph", "pattern")
+    g = _host(args, stats)
+    if args.pattern == "all":
+        patterns = list(_catalog(args, stats, host=g).items)
+    else:
+        patterns = _named_patterns(args.pattern, args.h)
+    _census(args, stats, g, patterns, _opt_fraction(args.beta) or Fraction(0))
     return 0
 
 
 def _cmd_dominance_check(args, stats: RunStats) -> int:
     _require(args, "graph", "h", "x")
-    _check_long(args.h, args)
     x = Fraction(args.x)
-    with stats.stage("import"):
-        from .construct import BigTournament
-        from .density import _margin, dominance_report
-    with stats.stage("graph"):
-        g = BigTournament.load(args.graph)
-    with stats.stage("catalog"):
-        catalog = load_or_enumerate(args.h, _cache_dir(args), threads=args.threads)
-    with stats.stage("classify"):
-        records = classify_catalog(catalog, threads=args.threads)
-        members = [(t, r.bias) for t, r in zip(catalog.items, records)
-                   if _beats_typical(r.bias, x)]
+    g = _host(args, stats)
+    members = [r for r in _records(args, stats, host=g) if _beats_typical(r.bias, x)]
     if not members:
         print(f"h={args.h} x={_frac_str(x)} family=0 satisfied=0")
         return 0
     beta = _opt_fraction(args.beta)
     if beta is None:
-        beta = _margin([b for _, b in members], x) / 2
-    with stats.stage("census"):
-        reports = dominance_report(
-            [t for t, _ in members], g, beta,
-            mode="montecarlo" if args.mode == "mc" else "exact",
-            samples=args.samples, seed=args.seed,
-        )
-    with stats.stage("output"):
-        _write_output(_density_rows(reports).render(args.format), args.out)
+        from .density import _margin
+        beta = _margin([r.bias for r in members], x) / 2
+    reports = _census(args, stats, g, [r.canonical_form.tournament() for r in members], beta)
     satisfied = sum(1 for r in reports if r.margin is not None and r.margin > 0)
     print(
         f"h={args.h} x={_frac_str(x)} beta={_frac_str(beta)} "
@@ -412,14 +395,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     _add_common(p)
     p.set_defaults(func=_cmd_enumerate)
 
-    for name, func in (("bias-table", _cmd_bias_table), ("fas-table", _cmd_fas_table)):
+    for name in ("bias-table", "fas-table"):
         p = registry[name] = commands.add_parser(
             name, help=f"emit the {name} for the h-catalog")
         p.add_argument("--h", type=int)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None)
         _add_common(p)
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_table)
 
     p = registry["classify"] = commands.add_parser(
         "classify", help="summary line |T_h|, |B_h|, ratio")

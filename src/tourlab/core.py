@@ -99,6 +99,11 @@ def pair_count(h: int) -> int:
     return h * (h - 1) // 2
 
 
+def _bits(value: int, m: int) -> str:
+    """value as an m-digit bit string, MSB first ('' for m = 0)."""
+    return format(value, f"0{m}b") if m else ""
+
+
 def pair_index(u, v, n: int):
     """Index of the 0-based pair u<v in the fixed pair order (also on int64 arrays)."""
     return u * (n - 1) - u * (u - 1) // 2 + (v - u - 1)
@@ -274,9 +279,7 @@ def _canon_search(h: int, out: tuple[int, ...]) -> tuple[int, int]:
 @lru_cache(maxsize=1 << 16)
 def _canonical_data(h: int, bits: str) -> tuple[str, int]:
     value, naut = _canon_search(h, Tournament(h, bits).out_masks)
-    m = pair_count(h)
-    canon = format(value, f"0{m}b") if m else ""
-    return canon, naut
+    return _bits(value, pair_count(h)), naut
 
 
 def canonical_form(t: Tournament) -> CanonicalForm:

@@ -23,7 +23,9 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .bias import BiasPolynomial, bias_polynomial, typical_density
-from .core import CanonicalForm, TooLarge, Tournament, canonical_form, pair_count, pair_index
+from .core import (
+    CanonicalForm, TooLarge, Tournament, _bits, canonical_form, pair_count, pair_index,
+)
 from .construct import BigTournament, check_seed
 
 __all__ = [
@@ -67,10 +69,6 @@ class DensityReport:
 @lru_cache(maxsize=1 << 20)
 def _pattern_canon(h: int, pattern: int) -> str:
     return canonical_form(Tournament(h, _bits(pattern, pair_count(h)))).bits
-
-
-def _bits(code: int, m: int) -> str:
-    return format(code, f"0{m}b") if m else ""
 
 
 def _shift(a: int, b: int, h: int) -> int:
@@ -193,19 +191,40 @@ def _exact_codes(g: BigTournament, h: int) -> Iterator[np.ndarray]:
     yield from extend([], np.full(1, -1, dtype=np.int64), np.zeros(1, dtype=np.int64), 0)
 
 
+def _census_total(
+    n: int, h: int, mode: str = "exact", samples: int | None = None, seed: int | None = None
+) -> int:
+    """The subsets a census request scans: C(n,h) in exact mode, ``samples``
+    in Monte-Carlo mode.  Raises before any census work: ValueError for a
+    pattern that does not fit the host, an unknown mode, or Monte-Carlo
+    samples or seed missing or out of range; TooLarge past the exact guard.
+    """
+    if mode not in ("exact", "montecarlo"):
+        raise ValueError(f"mode must be 'exact' or 'montecarlo', got {mode!r}")
+    if not 1 <= h <= n:
+        raise ValueError(f"pattern size {h} does not fit a host on {n} vertices")
+    if mode == "exact":
+        total = comb(n, h)
+        if total > EXACT_SUBSET_GUARD:
+            raise TooLarge(
+                f"C({n},{h}) = {total} exceeds the exact-mode guard "
+                f"{EXACT_SUBSET_GUARD}; use Monte Carlo"
+            )
+        return total
+    if samples is None or seed is None:
+        raise ValueError("montecarlo mode needs samples and seed")
+    if samples < 1:
+        raise ValueError(f"need samples >= 1, got {samples}")
+    check_seed(seed)
+    return samples
+
+
 def density_census(g: BigTournament, h: int) -> dict[str, int]:
     """Exact copy counts of every h-class in G, keyed by canonical bits.
 
     Counts all C(n,h) subsets (guarded); the counts sum to C(n,h).
     """
-    if not 1 <= h <= g.n:
-        raise ValueError(f"pattern size {h} does not fit a host on {g.n} vertices")
-    total = comb(g.n, h)
-    if total > EXACT_SUBSET_GUARD:
-        raise TooLarge(
-            f"C({g.n},{h}) = {total} exceeds the exact-mode guard "
-            f"{EXACT_SUBSET_GUARD}; use Monte Carlo"
-        )
+    _census_total(g.n, h)
     return _census(h, _exact_codes(g, h))
 
 
@@ -234,57 +253,19 @@ def _sample_subsets(rng: np.random.Generator, n: int, h: int, samples: int) -> n
 def _mc_census(g: BigTournament, h: int, samples: int, seed: int) -> dict[str, int]:
     """Census of samples uniform h-subsets: chunks of _CHUNK rows drawn in
     sequence from one Philox stream keyed by seed."""
-    if samples < 1:
-        raise ValueError(f"need samples >= 1, got {samples}")
-    rng = np.random.Generator(np.random.Philox(key=check_seed(seed)))
+    rng = np.random.Generator(np.random.Philox(key=seed))
     bits = g.bit_array()
     chunks = (min(_CHUNK, samples - done) for done in range(0, samples, _CHUNK))
     return _census(h, (_subset_patterns(bits, g.n, _sample_subsets(rng, g.n, h, take))
                        for take in chunks))
 
 
-def _report(
-    pattern: Tournament,
-    g: BigTournament,
-    hits: int,
-    total: int,
-    mode: str,
-    samples: int | None,
-    seed: int | None,
-    beta: Fraction | None,
-) -> DensityReport:
-    typical = typical_density(pattern)
-    if mode == "exact":
-        estimate: Fraction | float = Fraction(hits, total)
-        stderr = None
-        ratio: Fraction | float = estimate / typical
-        margin = None if beta is None else estimate - (1 + Fraction(beta)) * typical
-    else:
-        estimate = hits / total
-        stderr = sqrt(estimate * (1 - estimate) / total)
-        ratio = estimate / float(typical)
-        margin = None if beta is None else estimate - float((1 + Fraction(beta)) * typical)
-    return DensityReport(
-        pattern=canonical_form(pattern),
-        n=g.n,
-        mode=mode,
-        samples=samples,
-        seed=seed,
-        estimate=estimate,
-        stderr=stderr,
-        typical=typical,
-        ratio=ratio,
-        margin=margin,
-    )
-
-
 def density_exact(
     g: BigTournament, pattern: Tournament, beta: Fraction | None = None
 ) -> DensityReport:
-    """Exact density of pattern in G: copies / C(n,h)."""
-    census = density_census(g, pattern.h)
-    hits = census.get(canonical_form(pattern).bits, 0)
-    return _report(pattern, g, hits, comb(g.n, pattern.h), "exact", None, None, beta)
+    """Exact density of pattern in G, copies / C(n,h): the one report of
+    ``dominance_report([pattern], g, beta)``."""
+    return dominance_report([pattern], g, beta)[0]
 
 
 def density_montecarlo(
@@ -294,45 +275,60 @@ def density_montecarlo(
     seed: int,
     beta: Fraction | None = None,
 ) -> DensityReport:
-    """Estimate density from uniform h-subsets sampled with replacement."""
-    if not 1 <= pattern.h <= g.n:
-        raise ValueError(f"pattern size {pattern.h} does not fit a host on {g.n} vertices")
-    census = _mc_census(g, pattern.h, samples, seed)
-    hits = census.get(canonical_form(pattern).bits, 0)
-    return _report(pattern, g, hits, samples, "montecarlo", samples, seed, beta)
+    """Density estimated from ``samples`` uniform h-subsets drawn with
+    replacement: the one report of a Monte-Carlo ``dominance_report``."""
+    return dominance_report([pattern], g, beta, "montecarlo", samples, seed)[0]
 
 
 def dominance_report(
     patterns: list[Tournament],
     g: BigTournament,
-    beta: Fraction,
+    beta: Fraction | None = None,
     mode: str = "exact",
     samples: int | None = None,
     seed: int | None = None,
 ) -> list[DensityReport]:
     """One report per pattern against the same G, sharing a single census
-    pass; ``margin > 0`` means the pattern beats (1+beta) times typical."""
+    pass.  The request is checked as a whole (``_census_total``) before any
+    census work.  With a beta, ``margin > 0`` means the pattern beats
+    (1+beta) times typical."""
     if not patterns:
         return []
     h = patterns[0].h
     if any(t.h != h for t in patterns):
         raise ValueError("all patterns must share the same vertex count")
+    total = _census_total(g.n, h, mode, samples, seed)
     if mode == "exact":
-        census = density_census(g, h)
-        total = comb(g.n, h)
-        return [
-            _report(t, g, census.get(canonical_form(t).bits, 0), total, "exact", None, None, beta)
-            for t in patterns
-        ]
-    if mode != "montecarlo":
-        raise ValueError(f"mode must be 'exact' or 'montecarlo', got {mode!r}")
-    if samples is None or seed is None:
-        raise ValueError("montecarlo mode needs samples and seed")
-    census = _mc_census(g, h, samples, seed)
-    return [
-        _report(t, g, census.get(canonical_form(t).bits, 0), samples, "montecarlo", samples, seed, beta)
-        for t in patterns
-    ]
+        census, samples, seed = density_census(g, h), None, None
+    else:
+        census = _mc_census(g, h, samples, seed)
+    reports = []
+    for t in patterns:
+        typical = typical_density(t)
+        hits = census.get(canonical_form(t).bits, 0)
+        if mode == "exact":
+            estimate: Fraction | float = Fraction(hits, total)
+            stderr = None
+            ratio: Fraction | float = estimate / typical
+            margin = None if beta is None else estimate - (1 + Fraction(beta)) * typical
+        else:
+            estimate = hits / total
+            stderr = sqrt(estimate * (1 - estimate) / total)
+            ratio = estimate / float(typical)
+            margin = None if beta is None else estimate - float((1 + Fraction(beta)) * typical)
+        reports.append(DensityReport(
+            pattern=canonical_form(t),
+            n=g.n,
+            mode=mode,
+            samples=samples,
+            seed=seed,
+            estimate=estimate,
+            stderr=stderr,
+            typical=typical,
+            ratio=ratio,
+            margin=margin,
+        ))
+    return reports
 
 
 def bias_margin(patterns: list[Tournament], x: Fraction) -> Fraction:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .core import Tournament, _canon_search, _pool_size, _process_pool, pair_count
+from .core import Tournament, _bits, _canon_search, _pool_size, _process_pool, pair_count
 
 __all__ = [
     "TournamentCatalog",
@@ -145,7 +145,7 @@ def enumerate_tournaments(
             progress(f"level h={k}: {len(canons)} classes, {searched} of "
                      f"{len(level) << (k - 1)} extensions searched")
         m = pair_count(k)
-        level = [format(value, f"0{m}b") for value in sorted(canons)]
+        level = [_bits(value, m) for value in sorted(canons)]
     items = tuple(Tournament(h, bits) for bits in level)
     return TournamentCatalog(h, items)
 

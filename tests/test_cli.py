@@ -252,6 +252,53 @@ class TestErrors:
         assert code == 2 and out == ""
         assert "need samples >= 1" in run.stderr.splitlines()[-1]
 
+    def test_mc_pattern_larger_than_host(self, run, monkeypatch):
+        from tourlab import density
+
+        def no_draw(*args):
+            raise AssertionError("sampled subsets for a pattern larger than the host")
+
+        monkeypatch.setattr(density, "_sample_subsets", no_draw)
+        run("construct", "--kind", "tnp", "--n", "4", "--p", "1/2",
+            "--seed", "1", "--out", "g.txt")
+        code, out = run("density", "--graph", "g.txt", "--pattern", "T5", "--mode", "mc",
+                        "--samples", "10", "--seed", "1")
+        assert code == 2 and out == ""
+        assert "does not fit a host on 4 vertices" in run.stderr.splitlines()[-1]
+
+    @pytest.mark.parametrize("n, request_argv, expected", [
+        ("20", ("--h", "4", "--mode", "mc", "--samples", "10"), 2),
+        ("20", ("--h", "4", "--mode", "mc", "--samples", "0", "--seed", "1"), 2),
+        ("4", ("--h", "5"), 2),
+        ("200", ("--h", "6"), 3),
+    ], ids=["mc-without-seed", "zero-samples", "pattern-larger-than-host", "exact-guard"])
+    @pytest.mark.parametrize("command", [
+        ("dominance-check", "--x", "1/10"),
+        ("density", "--pattern", "all"),
+    ], ids=lambda c: c[0])
+    def test_bad_census_request_exits_before_catalog(
+        self, run, monkeypatch, command, n, request_argv, expected
+    ):
+        from tourlab import cli
+
+        calls = []
+
+        def recording(stage):
+            real = getattr(cli, stage)
+
+            def call(*args, **kwargs):
+                calls.append(stage)
+                return real(*args, **kwargs)
+
+            return call
+
+        for stage in ("load_or_enumerate", "classify_catalog"):
+            monkeypatch.setattr(cli, stage, recording(stage))
+        run("construct", "--kind", "tnp", "--n", n, "--p", "1/2",
+            "--seed", "1", "--out", "g.txt")
+        code, out = run(*command, "--graph", "g.txt", *request_argv)
+        assert (code, out, calls) == (expected, "", [])
+
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_thread_counts_below_one(self, run, threads):
         for argv in (("enumerate", "--h", "5"),

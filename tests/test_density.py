@@ -62,12 +62,19 @@ class TestExact:
         with pytest.raises(TooLarge):
             density_exact(g, transitive(5))
 
-    def test_pattern_larger_than_host(self):
+    def test_pattern_larger_than_host(self, monkeypatch):
+        # no h-subset of a smaller host exists; drawing one would never end
+        def no_draw(*args):
+            raise AssertionError("sampled subsets for a pattern larger than the host")
+
+        monkeypatch.setattr(density, "_sample_subsets", no_draw)
         g = build_tnp(4, Fraction(1, 2), seed=1)
         with pytest.raises(ValueError):
             density_exact(g, transitive(5))
         with pytest.raises(ValueError):
             density_montecarlo(g, transitive(5), 10, seed=1)
+        with pytest.raises(ValueError):
+            dominance_report([transitive(5)], g, Fraction(0), "montecarlo", 10, seed=1)
 
 
 def _code(t: Tournament) -> int:
