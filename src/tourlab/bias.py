@@ -241,11 +241,16 @@ def in_F(t: Tournament, x: Fraction) -> bool:
     return _beats_typical(bias_polynomial(t), x)
 
 
-def _beats_typical(bias: BiasPolynomial, x: Fraction) -> bool:
+def _check_x(x: Fraction) -> Fraction:
+    """x as a Fraction; raises XOutOfRange unless 0 < x < 1/2."""
     x = Fraction(x)
     if not 0 < x < Fraction(1, 2):
         raise XOutOfRange(f"x must lie in (0, 1/2), got {x}")
-    return bias.evaluate(x) > bias.constant
+    return x
+
+
+def _beats_typical(bias: BiasPolynomial, x: Fraction) -> bool:
+    return bias.evaluate(_check_x(x)) > bias.constant
 
 
 def _classify_one(t: Tournament) -> ClassificationRecord:

@@ -41,6 +41,7 @@ from .bias import (
     ClassificationRecord,
     OddCoefficientResidue,
     _beats_typical,
+    _check_x,
     classify_catalog,
 )
 from .core import PackingFailed, TooLarge, Tournament, cyclic3, parse, transitive
@@ -350,7 +351,7 @@ def _cmd_density(args, stats: RunStats) -> int:
 
 def _cmd_dominance_check(args, stats: RunStats) -> int:
     _require(args, "graph", "h", "x")
-    x = Fraction(args.x)
+    x = _check_x(args.x)
     g = _host(args, stats)
     members = [r for r in _records(args, stats, host=g) if _beats_typical(r.bias, x)]
     if not members:

@@ -22,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import PackingFailed, Tournament, pair_count, pair_index
+from .core import PackingFailed, Tournament, pair_count
 
 __all__ = [
     "BigTournament",
@@ -55,19 +55,23 @@ class StarTooBig(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class BigTournament:
-    """An n-vertex tournament with packed orientation bits and provenance.
+    """An n-vertex tournament held as its adjacency matrix, with provenance.
 
-    Bits follow the same pair order as Tournament.  ``provenance`` records
-    the construction kind, parameters, and seed, and round-trips through
-    serialization.
+    ``adj`` is a read-only n x n uint8 array: for u < v, ``adj[u, v]`` is 1
+    iff u -> v, and every entry on and below the diagonal is 0.  Only this
+    module knows the pair order: ``bit_array`` and ``to_text`` list the
+    bits in the same pair order as Tournament, and ``from_text`` and the
+    builders read pair-order bits back through ``_from_pair_bits``.
+    ``provenance`` records the construction kind, parameters, and seed,
+    and round-trips through serialization.
     """
 
     n: int
-    packed: np.ndarray = field(repr=False)
+    adj: np.ndarray = field(repr=False)
     provenance: dict[str, Any]
 
     def __post_init__(self) -> None:
-        self.packed.setflags(write=False)
+        self.adj.setflags(write=False)
 
     @property
     def m(self) -> int:
@@ -75,18 +79,17 @@ class BigTournament:
 
     def edge_bit(self, u: int, v: int) -> int:
         """1 if the edge between u<v is directed u->v, else 0."""
-        k = pair_index(u, v, self.n)
-        return (self.packed[k >> 3] >> (7 - (k & 7))) & 1
+        return int(self.adj[u, v])
 
     def bit_array(self) -> np.ndarray:
-        """All C(n,2) orientation bits as a uint8 array of 0/1."""
-        return np.unpackbits(self.packed)[: self.m]
+        """All C(n,2) orientation bits in pair order, as a uint8 array of 0/1."""
+        return np.concatenate([self.adj[u, u + 1 :] for u in range(self.n - 1)])
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BigTournament)
             and self.n == other.n
-            and bool(np.array_equal(self.packed, other.packed))
+            and bool(np.array_equal(self.adj, other.adj))
         )
 
     def to_text(self) -> str:
@@ -109,7 +112,7 @@ class BigTournament:
                 f"expected {pair_count(n)} orientation bits, got {len(bits)}"
             )
         arr = np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")
-        return cls(n=n, packed=np.packbits(arr), provenance=provenance)
+        return cls(n=n, adj=_from_pair_bits(n, arr), provenance=provenance)
 
     def save(self, path: Path | str) -> None:
         Path(path).write_text(self.to_text())
@@ -154,11 +157,14 @@ def _rational_bits(m: int, p: Fraction, seed: int) -> np.ndarray:
     return out
 
 
-def _rect_indices(part_a: range, part_b: range, n: int) -> np.ndarray:
-    """Pair indices of all (u, v) with u in part_a, v in part_b, u < v."""
-    us = np.repeat(np.fromiter(part_a, dtype=np.int64), len(part_b))
-    vs = np.tile(np.fromiter(part_b, dtype=np.int64), len(part_a))
-    return pair_index(us, vs, n)
+def _from_pair_bits(n: int, bits: np.ndarray) -> np.ndarray:
+    """The n x n adjacency matrix of C(n,2) orientation bits in pair order."""
+    adj = np.zeros((n, n), dtype=np.uint8)
+    start = 0
+    for u in range(n - 1):
+        adj[u, u + 1 :] = bits[start : start + n - 1 - u]
+        start += n - 1 - u
+    return adj
 
 
 def build_tnp(n: int, p: Fraction | int, seed: int) -> BigTournament:
@@ -169,9 +175,9 @@ def build_tnp(n: int, p: Fraction | int, seed: int) -> BigTournament:
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise BadProbability(f"p must lie in [0, 1], got {p}")
-    bits = _rational_bits(pair_count(n), p, seed)
+    adj = _from_pair_bits(n, _rational_bits(pair_count(n), p, seed))
     provenance = {"kind": "tnp", "n": n, "p": f"{p.numerator}/{p.denominator}", "seed": seed}
-    return BigTournament(n=n, packed=np.packbits(bits), provenance=provenance)
+    return BigTournament(n=n, adj=adj, provenance=provenance)
 
 
 def build_transversal(n: int, h: int, h_star: Tournament, seed: int) -> BigTournament:
@@ -181,18 +187,17 @@ def build_transversal(n: int, h: int, h_star: Tournament, seed: int) -> BigTourn
     """
     _check_n(n)
     check_seed(seed)
-    if n % h:
-        raise NotMultiple(f"n={n} is not a multiple of h={h}")
     k = h_star.h
     if k >= h:
         raise StarTooBig(f"pattern has {k} vertices; needs fewer than h={h}")
+    if n % h:
+        raise NotMultiple(f"n={n} is not a multiple of h={h}")
     size = n // h
-    bits = _rational_bits(pair_count(n), Fraction(1, 2), seed)
-    parts = [range(i * size, (i + 1) * size) for i in range(k)]
+    adj = _from_pair_bits(n, _rational_bits(pair_count(n), Fraction(1, 2), seed))
+    parts = [slice(i * size, (i + 1) * size) for i in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
-            idx = _rect_indices(parts[i], parts[j], n)
-            bits[idx] = h_star.edge_bit(i, j)
+            adj[parts[i], parts[j]] = h_star.edge_bit(i, j)
     provenance = {
         "kind": "transversal",
         "n": n,
@@ -201,7 +206,7 @@ def build_transversal(n: int, h: int, h_star: Tournament, seed: int) -> BigTourn
         "pattern": h_star.bits,
         "seed": seed,
     }
-    return BigTournament(n=n, packed=np.packbits(bits), provenance=provenance)
+    return BigTournament(n=n, adj=adj, provenance=provenance)
 
 
 def blowup_group_count(h: int, k: int) -> int:
@@ -256,13 +261,12 @@ def build_blowup(family: list[Tournament], n: int, seed: int) -> BigTournament:
         raise NotMultiple(f"n={n} is not a multiple of r={r}")
     size = n // r
     copies = _pack_cliques(r, h, k, seed)
-    bits = np.ones(pair_count(n), dtype=np.uint8)
-    parts = [range(t * size, (t + 1) * size) for t in range(r)]
-    for pattern, verts in zip(family, copies):
+    adj = np.triu(np.ones((n, n), dtype=np.uint8), 1)
+    parts = [slice(t * size, (t + 1) * size) for t in range(r)]
+    for pattern, verts in zip(family, copies):  # verts ascending: blocks lie above the diagonal
         for a in range(h):
             for b in range(a + 1, h):
-                idx = _rect_indices(parts[verts[a]], parts[verts[b]], n)
-                bits[idx] = pattern.edge_bit(a, b)
+                adj[parts[verts[a]], parts[verts[b]]] = pattern.edge_bit(a, b)
     provenance = {
         "kind": "blowup",
         "n": n,
@@ -274,4 +278,4 @@ def build_blowup(family: list[Tournament], n: int, seed: int) -> BigTournament:
         "typicality_sufficient": bool(2 * r * r < 2**h),
         "seed": seed,
     }
-    return BigTournament(n=n, packed=np.packbits(bits), provenance=provenance)
+    return BigTournament(n=n, adj=adj, provenance=provenance)

@@ -8,7 +8,9 @@ MSB-first in the fixed pair order, form its pattern code, and numpy tallies
 the codes.  Each distinct code is mapped to its isomorphism class once, at
 the end -- through a dense code -> canonical-code table for h <= 7, by
 canonical search above -- so measuring a whole catalog against one G costs
-a single pass.
+a single pass.  Both modes read G through its adjacency matrix ``g.adj``,
+flattened so entry u*n + v is 1 iff u -> v; G's pair order stays in
+``construct``, and ``pair_index`` here serves pattern codes only.
 """
 
 from __future__ import annotations
@@ -64,11 +66,6 @@ class DensityReport:
     typical: Fraction
     ratio: Fraction | float
     margin: Fraction | float | None
-
-
-@lru_cache(maxsize=1 << 20)
-def _pattern_canon(h: int, pattern: int) -> str:
-    return canonical_form(Tournament(h, _bits(pattern, pair_count(h)))).bits
 
 
 def _shift(a: int, b: int, h: int) -> int:
@@ -134,21 +131,9 @@ def _census(h: int, blocks: Iterable[np.ndarray]) -> dict[str, int]:
             tally[value] = tally.get(value, 0) + count
     census: dict[str, int] = {}
     for value, count in tally.items():
-        key = _pattern_canon(h, value)
+        key = canonical_form(Tournament(h, _bits(value, m))).bits
         census[key] = census.get(key, 0) + count
     return census
-
-
-def _adjacency(g: BigTournament) -> np.ndarray:
-    """Flat n*n uint8 matrix: entry u*n + v is 1 iff u -> v, for u < v."""
-    n = g.n
-    bits = g.bit_array()
-    adj = np.zeros((n, n), dtype=np.uint8)
-    start = 0
-    for u in range(n - 1):
-        adj[u, u + 1 :] = bits[start : start + n - 1 - u]
-        start += n - 1 - u
-    return adj.ravel()
 
 
 def _exact_codes(g: BigTournament, h: int) -> Iterator[np.ndarray]:
@@ -160,7 +145,7 @@ def _exact_codes(g: BigTournament, h: int) -> Iterator[np.ndarray]:
     _CHUNK, so no array grows with C(n-1, h-1).
     """
     n = g.n
-    adj = _adjacency(g)
+    adj = g.adj.ravel()
     shifts = [[_shift(a, k, h) for a in range(k)] for k in range(h)]
     # completions[k][v + 1]: h-subsets extending a k-prefix whose last vertex is v
     completions = [
@@ -228,15 +213,16 @@ def density_census(g: BigTournament, h: int) -> dict[str, int]:
     return _census(h, _exact_codes(g, h))
 
 
-def _subset_patterns(bits: np.ndarray, n: int, subsets: np.ndarray) -> np.ndarray:
-    """Pattern code of each row of h sorted vertex indices, given G's bit_array()."""
+def _subset_patterns(g: BigTournament, subsets: np.ndarray) -> np.ndarray:
+    """Pattern code of each row of h sorted vertex indices of G."""
+    adj = g.adj.ravel()
     h = subsets.shape[1]
     columns = [subsets[:, a].astype(np.int64) for a in range(h)]
     patterns = np.zeros(len(subsets), dtype=np.int64)
     for a in range(h):
+        row = columns[a] * g.n
         for b in range(a + 1, h):
-            idx = pair_index(columns[a], columns[b], n)
-            patterns |= bits[idx].astype(np.int64) << _shift(a, b, h)
+            patterns |= adj[row + columns[b]].astype(np.int64) << _shift(a, b, h)
     return patterns
 
 
@@ -254,9 +240,8 @@ def _mc_census(g: BigTournament, h: int, samples: int, seed: int) -> dict[str, i
     """Census of samples uniform h-subsets: chunks of _CHUNK rows drawn in
     sequence from one Philox stream keyed by seed."""
     rng = np.random.Generator(np.random.Philox(key=seed))
-    bits = g.bit_array()
     chunks = (min(_CHUNK, samples - done) for done in range(0, samples, _CHUNK))
-    return _census(h, (_subset_patterns(bits, g.n, _sample_subsets(rng, g.n, h, take))
+    return _census(h, (_subset_patterns(g, _sample_subsets(rng, g.n, h, take))
                        for take in chunks))
 
 

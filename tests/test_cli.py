@@ -216,6 +216,25 @@ class TestConstructAndDensity:
         assert "family=1 satisfied=1" in out
 
 
+# (id, host vertices, census arguments, exit code, text of the error line)
+BAD_CENSUS_REQUESTS = [
+    ("mc-without-seed", "20", ("--h", "4", "--mode", "mc", "--samples", "10"), 2,
+     "montecarlo mode needs samples and seed"),
+    ("zero-samples", "20", ("--h", "4", "--mode", "mc", "--samples", "0", "--seed", "1"), 2,
+     "need samples >= 1"),
+    ("pattern-larger-than-host", "4", ("--h", "5"), 2, "does not fit a host on 4 vertices"),
+    ("exact-guard", "200", ("--h", "6"), 3, "exceeds the exact-mode guard"),
+]
+BAD_REQUESTS = [
+    *(pytest.param(command, *case, id=f"{command[0]}-{name}")
+      for command in (("dominance-check", "--x", "1/10"), ("density", "--pattern", "all"))
+      for name, *case in BAD_CENSUS_REQUESTS),
+    *(pytest.param(("dominance-check", "--x", x), "20", ("--h", "4"), 2,
+                   f"x must lie in (0, 1/2), got {x}", id=f"dominance-check-x-{name}")
+      for name, x in (("one-half", "1/2"), ("zero", "0"))),
+]
+
+
 class TestErrors:
     def test_missing_required(self, run):
         code, _ = run("density", "--pattern", "T4")
@@ -266,18 +285,9 @@ class TestErrors:
         assert code == 2 and out == ""
         assert "does not fit a host on 4 vertices" in run.stderr.splitlines()[-1]
 
-    @pytest.mark.parametrize("n, request_argv, expected", [
-        ("20", ("--h", "4", "--mode", "mc", "--samples", "10"), 2),
-        ("20", ("--h", "4", "--mode", "mc", "--samples", "0", "--seed", "1"), 2),
-        ("4", ("--h", "5"), 2),
-        ("200", ("--h", "6"), 3),
-    ], ids=["mc-without-seed", "zero-samples", "pattern-larger-than-host", "exact-guard"])
-    @pytest.mark.parametrize("command", [
-        ("dominance-check", "--x", "1/10"),
-        ("density", "--pattern", "all"),
-    ], ids=lambda c: c[0])
+    @pytest.mark.parametrize("command, n, request_argv, expected, message", BAD_REQUESTS)
     def test_bad_census_request_exits_before_catalog(
-        self, run, monkeypatch, command, n, request_argv, expected
+        self, run, monkeypatch, command, n, request_argv, expected, message
     ):
         from tourlab import cli
 
@@ -298,6 +308,13 @@ class TestErrors:
             "--seed", "1", "--out", "g.txt")
         code, out = run(*command, "--graph", "g.txt", *request_argv)
         assert (code, out, calls) == (expected, "", [])
+        assert message in run.stderr.splitlines()[-1]
+
+    def test_transversal_without_parts(self, run):
+        code, out = run("construct", "--kind", "transversal", "--n", "60", "--h", "0",
+                        "--hstar", "T5", "--seed", "1", "--out", "g.txt")
+        assert code == 2 and out == ""
+        assert "needs fewer than h=0" in run.stderr.splitlines()[-1]
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_thread_counts_below_one(self, run, threads):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 from fractions import Fraction
 from itertools import product
@@ -17,7 +18,7 @@ from tourlab.construct import (
     build_tnp,
     build_transversal,
 )
-from tourlab.core import cyclic3, induced, pair_count, transitive
+from tourlab.core import cyclic3, induced, pair_count, parse, transitive
 
 
 class TestTnp:
@@ -91,6 +92,8 @@ class TestTransversal:
             build_transversal(61, 6, cyclic3(), seed=0)
         with pytest.raises(StarTooBig):
             build_transversal(60, 3, transitive(3), seed=0)
+        with pytest.raises(StarTooBig):
+            build_transversal(60, 0, transitive(5), seed=1)
 
     def test_boosts_planted_superpattern_density(self):
         # k = h-1 parts carrying T4 make T5 far denser than typical
@@ -192,7 +195,53 @@ class TestSerialization:
             with pytest.raises(ValueError, match="n must be in"):
                 BigTournament.from_text(f"n={n}\n{{}}\n" + "0" * pair_count(n) + "\n")
 
-    def test_packed_is_read_only(self):
+    def test_adj_is_read_only(self):
         g = build_tnp(20, Fraction(1, 2), seed=1)
         with pytest.raises(ValueError):
-            g.packed[0] = 0
+            g.adj[0, 1] = 0
+
+
+BUILDERS = {
+    "tnp": lambda: build_tnp(512, Fraction(3, 5), seed=1),
+    "transversal": lambda: build_transversal(60, 6, transitive(5), 2020),
+    "blowup": lambda: build_blowup([transitive(4), parse("101111", 4)], 96, seed=3),
+}
+# sha256 of each builder's to_text(): a seeded file keeps its bytes whatever
+# the in-memory form of a BigTournament.
+PINNED_SHA256 = {
+    "tnp": "e8e2be1abe936a3e0d9c1f6e9b4c88d8b43090ffcd484677426917f063217e94",
+    "transversal": "64d6289db280df14171c22db9fab4fb0a268a8f07c0283bd1aed36fb29a2f2cf",
+    "blowup": "ec5f768a59115ea51e482478588149e43171c850a3d2bd198c9174b76ba15327",
+}
+# bits in pair order (0,1) (0,2) (0,3) (0,4) | (1,2) (1,3) (1,4) | (2,3) (2,4) | (3,4)
+HAND_TEXT = "n=5\n{}\n0110\n100\n10\n1\n"
+HAND_ADJ = [
+    [0, 0, 1, 1, 0],
+    [0, 0, 1, 0, 0],
+    [0, 0, 0, 1, 0],
+    [0, 0, 0, 0, 1],
+    [0, 0, 0, 0, 0],
+]
+
+
+class TestAdjacency:
+    @pytest.mark.parametrize("kind", BUILDERS)
+    def test_text_bytes_pinned(self, kind):
+        text = BUILDERS[kind]().to_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SHA256[kind]
+
+    @pytest.mark.parametrize("kind", [*BUILDERS, "from_text"])
+    def test_upper_triangle(self, kind):
+        g = BigTournament.from_text(HAND_TEXT) if kind == "from_text" else BUILDERS[kind]()
+        assert g.adj.shape == (g.n, g.n) and g.adj.dtype == np.uint8
+        assert not np.tril(g.adj).any()
+        assert not g.adj.flags.writeable
+        assert BigTournament.from_text(g.to_text()) == g
+        us, vs = np.triu_indices(g.n, 1)
+        assert [g.edge_bit(u, v) for u, v in zip(us.tolist(), vs.tolist())] == \
+            g.adj[us, vs].tolist()
+
+    def test_from_text_follows_pair_order(self):
+        g = BigTournament.from_text(HAND_TEXT)
+        assert g.adj.tolist() == HAND_ADJ
+        assert "".join(map(str, g.bit_array().tolist())) == "0110100101"

@@ -134,7 +134,7 @@ class TestCensus:
         assert comb(n, h) > 2 * density._CHUNK
         g = build_tnp(n, Fraction(1, 2), seed=12)
         subsets = np.array(list(combinations(range(n), h)))
-        codes = density._subset_patterns(g.bit_array(), n, subsets)
+        codes = density._subset_patterns(g, subsets)
         assert density_census(g, h) == density._census(h, [codes])
 
 
