@@ -23,7 +23,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import factorial
 from typing import Callable
 
@@ -38,7 +38,7 @@ from .core import (
     pair_count,
 )
 from .enumeration import TournamentCatalog
-from .fas import FasResult, _fas_from_table, _histogram_counts, _ordering_table
+from .fas import FasResult, _fas, _histogram_counts, _new_memo
 
 __all__ = [
     "ForwardHistogram",
@@ -153,7 +153,7 @@ class ClassificationRecord:
 def forward_histogram(t: Tournament) -> ForwardHistogram:
     """Exact ordering histogram: the full-set entry of the subset DP that
     also gives a(H) (see ``tourlab.fas``)."""
-    return ForwardHistogram(t.h, _histogram_counts(t, _ordering_table(t)))
+    return ForwardHistogram(t.h, _histogram_counts(t, _new_memo()))
 
 
 _Linear = tuple[int, int]  # a linear factor as (constant, x-coefficient)
@@ -253,18 +253,24 @@ def _beats_typical(bias: BiasPolynomial, x: Fraction) -> bool:
     return bias.evaluate(_check_x(x)) > bias.constant
 
 
-def _classify_one(t: Tournament) -> ClassificationRecord:
+def _classify_one(t: Tournament, memo: dict[int, int]) -> ClassificationRecord:
     value, aut = _canon_search(t.h, t.out_masks)
-    table = _ordering_table(t)
-    bias = _bias_from_counts(t.h, _histogram_counts(t, table), aut)
+    bias = _bias_from_counts(t.h, _histogram_counts(t, memo), aut)
     return ClassificationRecord(
         canonical_form=CanonicalForm(t.h, _bits(value, t.m)),
         aut=aut,
         typical_density=Fraction(factorial(t.h), aut << t.m),
         bias=bias,
-        fas=_fas_from_table(t, table),
+        fas=_fas(t, memo),
         in_Bh=_rises_at_zero(bias),
     )
+
+
+def _classify_block(items: tuple[Tournament, ...]) -> list[ClassificationRecord]:
+    """Records of a run of catalog items, whose subset DP shares one memo:
+    neighbouring canonical forms share most of their sub-tournaments."""
+    memo = _new_memo()
+    return [_classify_one(t, memo) for t in items]
 
 
 def classify_catalog(
@@ -274,20 +280,21 @@ def classify_catalog(
 ) -> list[ClassificationRecord]:
     """One ClassificationRecord per class, in catalog order.
 
-    Entries are pure and data-parallel over min(threads, CPUs) worker
-    processes; results are merged in input order, so the output is
-    identical for any thread count.  ``progress``
-    receives a status line every few thousand classes.
+    Items are classified in blocks of 4096 consecutive classes, each with
+    one subset-DP memo; blocks are pure and data-parallel over
+    min(threads, CPUs) worker processes, and results are merged in input
+    order, so the output is identical for any thread count.  ``progress``
+    receives a status line per block.
     """
-    items = list(catalog.items)
+    items = catalog.items
     workers = _pool_size(threads)
-    pooled = workers > 1 and len(items) > 8 * workers
-    records: list[ClassificationRecord] = []
     step = 4096
+    blocks = [items[start : start + step] for start in range(0, len(items), step)]
+    pooled = workers > 1 and len(blocks) > 1
+    records: list[ClassificationRecord] = []
     with _process_pool(workers) if pooled else nullcontext() as pool:
-        classify = partial(pool.map, chunksize=64) if pooled else map
-        for start in range(0, len(items), step):
-            records.extend(classify(_classify_one, items[start : start + step]))
+        for block in (pool.map if pooled else map)(_classify_block, blocks):
+            records.extend(block)
             if progress is not None:
                 progress(f"classified {len(records)}/{len(items)}")
     return records

@@ -212,7 +212,7 @@ class RunStats:
     def __init__(self) -> None:
         self.start = perf_counter()
         self.searches = core._canon_searches
-        self.dp_runs = fas._dp_runs
+        self.dp_entries = fas._dp_entries
         self.stages: dict[str, float] = {}
 
     @contextmanager
@@ -236,7 +236,7 @@ class RunStats:
             "workers": core._peak_workers,
             "peak_rss_mb": round(rss / (1 << 20 if sys.platform == "darwin" else 1 << 10), 1),
             "canon_searches": core._canon_searches - self.searches,
-            "dp_runs": fas._dp_runs - self.dp_runs,
+            "dp_entries": fas._dp_entries - self.dp_entries,
             "canon_cache": core._canonical_data.cache_info()._asdict(),
             "loaded": {name: name in sys.modules for name in ("numpy", "mpmath")},
         }, sort_keys=True)

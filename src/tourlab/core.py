@@ -65,7 +65,9 @@ class SizeMismatch(ValueError):
 
 
 class TooLarge(ValueError):
-    """Exact mode would iterate more than density.EXACT_SUBSET_GUARD subsets."""
+    """Exact mode would iterate more than density.EXACT_SUBSET_GUARD subsets,
+    or Monte Carlo would draw more than density.MC_DRAW_GUARD h-tuples per
+    kept sample."""
 
 
 class PackingFailed(RuntimeError):

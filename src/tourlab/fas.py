@@ -2,7 +2,12 @@
 
 a(H) is the size of a smallest edge set meeting every directed cycle,
 computed as C(h,2) minus the maximum forward-edge count over vertex
-orderings.  The dominance sufficient condition compares
+orderings.  Both a(H) and the ordering histogram behind B(H,x) come from
+one subset DP, memoized by the code of each induced sub-tournament, so
+tournaments sharing a memo (a block of a catalog) compute each
+sub-tournament they have in common once.
+
+The dominance sufficient condition compares
 
     (1 + 2x)^(f - b) * (1 - 4x^2)^b  >  h!
 
@@ -49,73 +54,110 @@ class FasResult:
     witness_order: tuple[int, ...]
 
 
-_DIGIT = 32  # packed-histogram digit width; counts stay below 10! < 2^22
+_DIGIT = 32  # packed-histogram digit width: a digit counts orderings, at most 10! < 2^22
 
-# Subset DP runs in this process, reported by `tourlab --stats`.
-_dp_runs = 0
+# Memo entries the subset DP computed in this process, reported by
+# `tourlab --stats`.
+_dp_entries = 0
+
+
+def _code(t: Tournament) -> int:
+    """The DP's key for t: its bit string read as a binary number under a
+    leading 1, so that C(h,2), and with it h, can be read back from it."""
+    return int("1" + t.bits, 2)
 
 
 @lru_cache(maxsize=None)
-def _subset_pairs(h: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """For each subset s of range(h), the pairs (s without v, v) for v in s,
-    in ascending v: the DP's predecessors of s, shared by every h-tournament."""
-    return tuple(tuple((s ^ (1 << v), v) for v in range(h) if (s >> v) & 1)
-                 for s in range(1 << h))
+def _deletions(k: int) -> tuple[tuple[tuple[tuple[int, int], ...], int, int], ...]:
+    """For each vertex v of a k-vertex key: how to delete v and count its
+    in-neighbours.  Deleting v drops its k-1 pair bits and moves every bit
+    above a dropped one down by the dropped bits below it, so the key of
+    T - v is the OR of (key & mask) >> shift over one (mask, shift) per run
+    of kept bits; the leading 1 moves with the top run.  v's in-neighbours
+    are its 0-bits in its own row (pairs (v, j)) and its 1-bits in the rows
+    above (pairs (i, v)): popcount((key ^ row) & (row | column))."""
+    bits = [(i, j) for i in range(k) for j in range(i + 1, k)][::-1]  # pair at bit q
+    plan = []
+    for v in range(k):
+        row = sum(1 << q for q, (i, _) in enumerate(bits) if i == v)
+        column = sum(1 << q for q, (_, j) in enumerate(bits) if j == v)
+        runs: dict[int, int] = {}
+        shift = 0
+        for q in range(len(bits) + 1):  # bit len(bits) is the leading 1
+            if (row | column) >> q & 1:
+                shift += 1
+            else:
+                runs[shift] = runs.get(shift, 0) | 1 << q
+        plan.append((tuple((mask, shift) for shift, mask in runs.items()), row, row | column))
+    return tuple(plan)
 
 
-def _ordering_table(t: Tournament) -> list[int]:
-    """The one subset DP, behind both B(H,x) and a(H): digit k of table[S]
-    counts the orderings of S with exactly k forward edges.  Appending v
-    after prev = S\\{v} adds as many forward edges as v has in-neighbours
-    in prev; the (prev, v) pairs of every S come precomputed per h
-    (``_subset_pairs``), so each step is a single shift-and-add."""
-    global _dp_runs
-    _dp_runs += 1
-    h = t.h
-    out = t.out_masks
-    full = (1 << h) - 1
-    inmask = tuple(full & ~out[v] & ~(1 << v) for v in range(h))
-    table = [1]
-    for pairs in _subset_pairs(h)[1:]:
-        acc = 0
-        for prev, v in pairs:
-            acc += table[prev] << ((inmask[v] & prev).bit_count() * _DIGIT)
-        table.append(acc)
-    return table
+def _packed(k: int, key: int, memo: dict[int, int]) -> int:
+    """The one subset DP, behind both B(H,x) and a(H), keyed by an induced
+    sub-tournament's own code: digit j of the result counts the orderings of
+    the k-vertex tournament ``key`` with exactly j forward edges.  Placing v
+    last adds one forward edge per in-neighbour of v, so the histogram is
+    the sum over v of the histogram of key - v shifted by v's in-degree
+    (M. Held and R. M. Karp, J. SIAM 10 (1962)).  ``memo`` maps keys to
+    histograms; sub-tournaments met again, in this tournament or in another
+    one sharing the memo, are read from it."""
+    global _dp_entries
+    packed = 0
+    for runs, row, pairs in _deletions(k):
+        sub = 0
+        for mask, shift in runs:
+            sub |= (key & mask) >> shift
+        # an entry is never 0 (every tournament has an ordering), so `or` tests for a miss
+        below = memo.get(sub) or _packed(k - 1, sub, memo)
+        packed += below << (((key ^ row) & pairs).bit_count() * _DIGIT)
+    memo[key] = packed
+    _dp_entries += 1
+    return packed
 
 
-def _histogram_counts(t: Tournament, table: list[int]) -> tuple[int, ...]:
-    """N[k], k = 0..C(h,2): the digits of the full-set entry."""
+def _new_memo() -> dict[int, int]:
+    """A memo holding only the 1-vertex key 1: one ordering, no forward edge."""
+    return {1: 1}
+
+
+def _histogram_counts(t: Tournament, memo: dict[int, int]) -> tuple[int, ...]:
+    """N[k], k = 0..C(h,2): the digits of t's DP entry."""
+    key = _code(t)
+    packed = memo.get(key) or _packed(t.h, key, memo)
     mask = (1 << _DIGIT) - 1
-    counts = tuple((table[-1] >> (k * _DIGIT)) & mask for k in range(pair_count(t.h) + 1))
+    counts = tuple((packed >> (k * _DIGIT)) & mask for k in range(pair_count(t.h) + 1))
     if sum(counts) != factorial(t.h):
         raise AssertionError(f"histogram mass {sum(counts)} != {t.h}!")
     return counts
 
 
-def _fas_from_table(t: Tournament, table: list[int]) -> FasResult:
-    """a(H) from best(S), the top digit of table[S], read only along the
+def _fas(t: Tournament, memo: dict[int, int]) -> FasResult:
+    """a(H) from best(S), the top digit of S's DP entry, read only along the
     backtrack.  The witness is rebuilt backwards: the last vertex of S is
     the smallest v with best(S\\{v}) + k_v = best(S)."""
-    out = t.out_masks
-    pairs = _subset_pairs(t.h)
+    key = _code(t)
+    packed = memo.get(key) or _packed(t.h, key, memo)
+    top = best = (packed.bit_length() - 1) // _DIGIT
+    labels = list(range(t.h))
     order: list[int] = []
-    s = len(table) - 1
-    top = best = (table[s].bit_length() - 1) // _DIGIT
-    while s:
-        # prev & ~out[v] is v's in-neighbours inside prev
-        prev, v = next((prev, v) for prev, v in pairs[s] if (prev & ~out[v]).bit_count()
-                       + (table[prev].bit_length() - 1) // _DIGIT == best)
-        order.append(v)
-        s = prev
-        best = (table[s].bit_length() - 1) // _DIGIT
+    for k in range(t.h, 1, -1):
+        for i, (runs, row, pairs) in enumerate(_deletions(k)):
+            sub = 0
+            for mask, shift in runs:
+                sub |= (key & mask) >> shift
+            below = (memo[sub].bit_length() - 1) // _DIGIT
+            if below + ((key ^ row) & pairs).bit_count() == best:
+                break
+        order.append(labels.pop(i))
+        key, best = sub, below
+    order.append(labels[0])
     return FasResult(pair_count(t.h) - top, top, tuple(order[::-1]))
 
 
 def min_fas(t: Tournament) -> FasResult:
     """Exact a(H) by DP over vertex subsets, with a maximizing ordering;
     ties between last vertices go to the smallest vertex index."""
-    return _fas_from_table(t, _ordering_table(t))
+    return _fas(t, _new_memo())
 
 
 def in_A(t: Tournament, threshold: Fraction | int) -> bool:

@@ -9,7 +9,8 @@ from math import comb
 
 import pytest
 
-from tourlab.cli import main
+from tourlab.bias import classify_catalog
+from tourlab.cli import _classification_rows, main
 from tourlab.construct import BigTournament
 
 
@@ -224,6 +225,8 @@ BAD_CENSUS_REQUESTS = [
      "need samples >= 1"),
     ("pattern-larger-than-host", "4", ("--h", "5"), 2, "does not fit a host on 4 vertices"),
     ("exact-guard", "200", ("--h", "6"), 3, "exceeds the exact-mode guard"),
+    ("mc-draw-guard", "7", ("--h", "6", "--mode", "mc", "--samples", "10", "--seed", "1"), 3,
+     "use exact mode: C(7,6) = 7 subsets"),
 ]
 BAD_REQUESTS = [
     *(pytest.param(command, *case, id=f"{command[0]}-{name}")
@@ -382,7 +385,7 @@ class TestStats:
         assert set(stats["stages_s"]) == {"catalog", "classify", "output"}
         assert stats["workers"] >= 1 and stats["peak_rss_mb"] > 0
         assert stats["canon_searches"] == 12  # warm cache: one per classified class
-        assert stats["dp_runs"] == 12
+        assert stats["dp_entries"] == 35  # distinct induced codes of the 12 classes
         assert set(stats["canon_cache"]) == {"hits", "misses", "maxsize", "currsize"}
         assert set(stats["loaded"]) == {"numpy", "mpmath"}
 
@@ -405,6 +408,15 @@ class TestPinnedOutput:
         code, out = run(command, "--h", "7")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINS[command]
+
+    # sha256 of `fas-table --h 8` stdout, the table the catalog-h8 benchmark checks
+    FAS_TABLE_H8 = "1aeee81b75dc48cd165282ade3387474c332c2a48e6f1387603fa9b19adc4dcb"
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_h8_fas_table_pinned(self, catalog8, threads):
+        records = classify_catalog(catalog8, threads=threads)
+        text = _classification_rows(records, with_fas_extras=True).render("csv")
+        assert hashlib.sha256(text.encode()).hexdigest() == self.FAS_TABLE_H8
 
 
 class TestConfigFile:

@@ -77,6 +77,34 @@ class TestExact:
             dominance_report([transitive(5)], g, Fraction(0), "montecarlo", 10, seed=1)
 
 
+class TestMonteCarloDrawGuard:
+    # n^h / (n)_h, the expected draws per kept sample: 13.0 at (8, 6), 23.3 at
+    # (7, 6), 10.7 at (4, 4), 26.0 at (5, 5) and 2755.7 at (10, 10)
+    @pytest.mark.parametrize("n, h", [(8, 6), (4, 4), (2048, 8)])
+    def test_accepts_at_or_below_guard(self, n, h):
+        assert n**h <= density.MC_DRAW_GUARD * math.perm(n, h)
+        assert density._census_total(n, h, "montecarlo", 10, seed=1) == 10
+
+    @pytest.mark.parametrize("n, h", [(7, 6), (5, 5), (10, 10)])
+    def test_refuses_past_guard_before_drawing(self, monkeypatch, n, h):
+        def no_draw(*args):
+            raise AssertionError("sampled subsets past the draw guard")
+
+        monkeypatch.setattr(density, "_sample_subsets", no_draw)
+        g = build_tnp(n, Fraction(1, 2), seed=1)
+        with pytest.raises(TooLarge, match=f"use exact mode: C\\({n},{h}\\) = {comb(n, h)}"):
+            dominance_report([transitive(h)], g, None, "montecarlo", 10, seed=1)
+        exact = density_exact(g, transitive(h)).estimate  # the mode the message points to
+        assert comb(n, h) % exact.denominator == 0
+
+    def test_accepted_request_samples_as_before(self):
+        # (8, 6) passes the guard; 58 of the 500 draws hit this class, as
+        # they did before the guard existed
+        g = build_tnp(8, Fraction(1, 2), seed=1)
+        report = density_montecarlo(g, Tournament(6, "000010010000001"), 500, seed=3)
+        assert report.estimate == 58 / 500
+
+
 def _code(t: Tournament) -> int:
     return int(t.bits, 2) if t.bits else 0
 

@@ -6,13 +6,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from tourlab.bias import in_F
+from tourlab.bias import bias_polynomial, classify_catalog, forward_histogram, in_F
 from tourlab.core import Tournament, cyclic3, induced, pair_count, reverse, transitive
 from tourlab.fas import (
     _DIGIT,
     BadParameters,
-    _ordering_table,
-    _subset_pairs,
+    _code,
+    _deletions,
+    _fas,
+    _histogram_counts,
+    _new_memo,
     fas_dominance_condition,
     in_A,
     min_fas,
@@ -68,26 +71,63 @@ class TestMinFas:
         assert min_fas(t).witness_order == (1, 2, 0)
 
 
+def _key_tournament(key: int) -> Tournament:
+    """The tournament a DP key names: its bits follow the leading 1."""
+    bits = bin(key)[3:]
+    h = next(h for h in range(1, 11) if pair_count(h) == len(bits))
+    return Tournament(h, bits)
+
+
 class TestOrderingTable:
+    """The subset DP's table is a memo keyed by induced sub-tournament codes."""
+
     @pytest.mark.parametrize("h", range(10))
     def test_subset_pairs_list_each_member_once_ascending(self, h):
-        pairs = _subset_pairs(h)
-        assert len(pairs) == 1 << h
-        for s, entry in enumerate(pairs):
-            assert [v for _, v in entry] == [v for v in range(h) if (s >> v) & 1]
-            assert all(prev == s & ~(1 << v) for prev, v in entry)
+        # the DP's predecessors of S: (S without v, in-degree of v) for v in S, ascending
+        plan = _deletions(h)
+        assert len(plan) == h
+        if h == 0:
+            return
+        rng = random.Random(h)
+        t = Tournament(h, "".join(rng.choice("01") for _ in range(pair_count(h))))
+        key = _code(t)
+        for v, (runs, row, pairs) in enumerate(plan):
+            sub = 0
+            for mask, shift in runs:
+                sub |= (key & mask) >> shift
+            others = [u for u in range(h) if u != v]
+            assert sub == (_code(induced(t, others)) if others else 1), (t.bits, v)
+            indegree = sum(t.has_edge(u, v) for u in range(h) if u != v)
+            assert ((key ^ row) & pairs).bit_count() == indegree
 
     @pytest.mark.parametrize("seed", range(12))
     def test_every_entry_matches_brute_histogram(self, seed):
         rng = random.Random(seed)
         h = 2 + seed % 6
         t = Tournament(h, "".join(rng.choice("01") for _ in range(pair_count(h))))
-        table = _ordering_table(t)
-        assert len(table) == 1 << h and table[0] == 1
-        for s in range(1, 1 << h):
-            sub = induced(t, [v for v in range(h) if (s >> v) & 1])
-            packed = sum(c << (k * _DIGIT) for k, c in enumerate(oracles.brute_histogram(sub)))
-            assert table[s] == packed, (t.bits, s)
+        memo = _new_memo()
+        _histogram_counts(t, memo)
+        # exactly the codes of the induced sub-tournaments, one per subset
+        subsets = [[v for v in range(h) if (s >> v) & 1] for s in range(1, 1 << h)]
+        assert set(memo) == {_code(induced(t, sub)) for sub in subsets}, t.bits
+        for key, packed in memo.items():
+            sub = _key_tournament(key)
+            expected = sum(c << (k * _DIGIT) for k, c in enumerate(oracles.brute_histogram(sub)))
+            assert packed == expected, (t.bits, key)
+
+    @pytest.mark.parametrize("h", range(1, 8))
+    def test_shared_memo_equals_fresh_memo(self, catalogs, h):
+        shared = _new_memo()
+        for t in catalogs[h]:
+            assert _histogram_counts(t, shared) == forward_histogram(t).counts, t.bits
+            assert _fas(t, shared) == min_fas(t), t.bits
+
+    @pytest.mark.parametrize("h", range(1, 8))
+    def test_catalog_records_equal_single_tournament_results(self, catalogs, h):
+        records = classify_catalog(catalogs[h])
+        for t, record in zip(catalogs[h], records, strict=True):
+            assert record.bias == bias_polynomial(t), t.bits
+            assert record.fas == min_fas(t), t.bits
 
 
 class TestFasProperties:
