@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Callable
+from typing import Callable, Iterator
 
 from .core import (
     CanonicalForm,
@@ -266,11 +266,47 @@ def _classify_one(t: Tournament, memo: dict[int, int]) -> ClassificationRecord:
     )
 
 
-def _classify_block(items: tuple[Tournament, ...]) -> list[ClassificationRecord]:
+def _classify_block(items: tuple[Tournament, ...]) -> Iterator[ClassificationRecord]:
     """Records of a run of catalog items, whose subset DP shares one memo:
     neighbouring canonical forms share most of their sub-tournaments."""
     memo = _new_memo()
-    return [_classify_one(t, memo) for t in items]
+    for t in items:
+        yield _classify_one(t, memo)
+
+
+def _classify_block_list(items: tuple[Tournament, ...]) -> list[ClassificationRecord]:
+    """A pool task: the records of ``_classify_block``, sent back whole."""
+    return list(_classify_block(items))
+
+
+def _classified(
+    catalog: TournamentCatalog,
+    threads: int = 1,
+    progress: Callable[[str], None] | None = None,
+) -> Iterator[ClassificationRecord]:
+    """One ClassificationRecord per class, in catalog order, yielded as soon
+    as it exists, so a caller that consumes records as they come holds
+    one subset-DP memo, and on worker processes one block of records.
+
+    Items are classified in blocks of 4096 consecutive classes, each with
+    one subset-DP memo; blocks are pure and data-parallel over
+    min(threads, CPUs) worker processes, and come back in input order, so
+    the records are identical for any thread count.  ``progress`` receives
+    a status line per block.
+    """
+    items = catalog.items
+    workers = _pool_size(threads)
+    step = 4096
+    blocks = [items[start : start + step] for start in range(0, len(items), step)]
+    pooled = workers > 1 and len(blocks) > 1
+    done = 0
+    with _process_pool(workers) if pooled else nullcontext() as pool:
+        runs = pool.map(_classify_block_list, blocks) if pooled else map(_classify_block, blocks)
+        for block, records in zip(blocks, runs):
+            yield from records
+            done += len(block)
+            if progress is not None:
+                progress(f"classified {done}/{len(items)}")
 
 
 def classify_catalog(
@@ -278,23 +314,6 @@ def classify_catalog(
     threads: int = 1,
     progress: Callable[[str], None] | None = None,
 ) -> list[ClassificationRecord]:
-    """One ClassificationRecord per class, in catalog order.
-
-    Items are classified in blocks of 4096 consecutive classes, each with
-    one subset-DP memo; blocks are pure and data-parallel over
-    min(threads, CPUs) worker processes, and results are merged in input
-    order, so the output is identical for any thread count.  ``progress``
-    receives a status line per block.
-    """
-    items = catalog.items
-    workers = _pool_size(threads)
-    step = 4096
-    blocks = [items[start : start + step] for start in range(0, len(items), step)]
-    pooled = workers > 1 and len(blocks) > 1
-    records: list[ClassificationRecord] = []
-    with _process_pool(workers) if pooled else nullcontext() as pool:
-        for block in (pool.map if pooled else map)(_classify_block, blocks):
-            records.extend(block)
-            if progress is not None:
-                progress(f"classified {len(records)}/{len(items)}")
-    return records
+    """One ClassificationRecord per class, in catalog order, identical for any
+    thread count: the records of ``_classified`` as a list."""
+    return list(_classified(catalog, threads, progress))

@@ -8,15 +8,22 @@ stderr.  Every run logs its resolved configuration to stderr; stdout and
 output files are deterministic given the configuration, including across
 --threads settings.
 
+Tables are written one row at a time, as each class is classified.  An
+--out file is written through a temporary file beside it and appears only
+once every row is written; stdout, in contrast, may hold the rows written
+before an error stopped the command.
+
 Exit codes: 0 success, 2 bad arguments, 3 resource guard tripped,
 4 internal assertion.
 
 With --stats, one JSON line goes to stderr when the command ends, whether
-it succeeds or fails: stage wall times, the largest worker pool this
-process started, its peak RSS, the canonical searches and subset DP runs
-the command ran in this process (pool workers are separate processes), the
-canonical-form cache counts and whether numpy and mpmath were loaded.
-stdout is the same with or without it.
+it succeeds or fails: the wall time of each stage (less the stages that
+run inside it: the table commands classify while they write), the largest
+worker pool this process started, its peak RSS, the canonical searches
+and subset-DP memo entries the command computed in this process (pool
+workers are separate processes), the canonical-form cache counts and
+whether numpy and mpmath were loaded.  stdout is the same with or without
+it.
 
 Only the commands that read or build big tournaments (construct, density,
 dominance-check) import the numpy layers, inside their handlers.
@@ -26,15 +33,15 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
+from typing import Iterable, Iterator, TextIO
 
 from . import core, fas
 from .bias import (
@@ -42,10 +49,16 @@ from .bias import (
     OddCoefficientResidue,
     _beats_typical,
     _check_x,
-    classify_catalog,
+    _classified,
 )
 from .core import PackingFailed, TooLarge, Tournament, cyclic3, parse, transitive
-from .enumeration import TournamentCatalog, Unsupported, _write_cache, load_or_enumerate
+from .enumeration import (
+    TournamentCatalog,
+    Unsupported,
+    _replacing,
+    _write_cache,
+    load_or_enumerate,
+)
 
 __all__ = ["main"]
 
@@ -114,54 +127,63 @@ def _read_pattern_file(path: Path, h_hint: int | None) -> list[Tournament]:
     return [parse(line, h_hint) for line in lines]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Emitter:
-    """Collects uniform row dicts and writes them as CSV or JSON."""
+    """Uniform row dicts, from any iterable, written as CSV or JSON one row
+    at a time: the bytes are those of the whole list rendered at once."""
 
     fieldnames: list[str]
-    rows: list[dict] = field(default_factory=list)
+    rows: Iterable[dict]
 
-    def add(self, **row) -> None:
-        self.rows.append(row)
+    def write(self, fmt: str, stream: TextIO) -> None:
+        if fmt == "csv":
+            writer = csv.DictWriter(stream, fieldnames=self.fieldnames, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(self.rows)
+            return
+        # json.dumps(rows, indent=2, sort_keys=True), one row at a time
+        opening = "["
+        for row in self.rows:
+            stream.write(opening + "\n  "
+                         + json.dumps(row, indent=2, sort_keys=True).replace("\n", "\n  "))
+            opening = ","
+        stream.write("[]\n" if opening == "[" else "\n]\n")
 
-    def render(self, fmt: str) -> str:
-        if fmt == "json":
-            return json.dumps(self.rows, indent=2, sort_keys=True) + "\n"
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=self.fieldnames, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(self.rows)
-        return buf.getvalue()
 
-
-def _write_output(text: str, out: str | None) -> None:
+def _write_output(emitter: Emitter, fmt: str, out: str | None) -> None:
+    """The rows to the --out file, which appears only once all are written,
+    or to stdout as they come."""
     if out:
-        Path(out).write_text(text)
+        with _replacing(Path(out)) as stream:
+            emitter.write(fmt, stream)
     else:
-        sys.stdout.write(text)
+        emitter.write(fmt, sys.stdout)
 
 
-def _classification_rows(records: list[ClassificationRecord], with_fas_extras: bool) -> Emitter:
+def _classification_rows(
+    records: Iterable[ClassificationRecord], with_fas_extras: bool
+) -> Emitter:
     names = ["h", "canon", "aut", "d_num", "d_den", "fas", "in_Bh", "coeffs"]
     if with_fas_extras:
         names += ["max_forward", "witness"]
-    emitter = Emitter(names)
-    for rec in records:
-        row = dict(
-            h=rec.canonical_form.h,
-            canon=rec.canonical_form.bits,
-            aut=rec.aut,
-            d_num=rec.typical_density.numerator,
-            d_den=rec.typical_density.denominator,
-            fas=rec.fas.a,
-            in_Bh=int(rec.in_Bh),
-            coeffs=" ".join(f"{e}:{_frac_str(c)}" for e, c in rec.bias.coeffs),
-        )
-        if with_fas_extras:
-            row["max_forward"] = rec.fas.max_forward
-            row["witness"] = " ".join(str(v + 1) for v in rec.fas.witness_order)
-        emitter.add(**row)
-    return emitter
+    return Emitter(names, (_classification_row(rec, with_fas_extras) for rec in records))
+
+
+def _classification_row(rec: ClassificationRecord, with_fas_extras: bool) -> dict:
+    row = dict(
+        h=rec.canonical_form.h,
+        canon=rec.canonical_form.bits,
+        aut=rec.aut,
+        d_num=rec.typical_density.numerator,
+        d_den=rec.typical_density.denominator,
+        fas=rec.fas.a,
+        in_Bh=int(rec.in_Bh),
+        coeffs=" ".join(f"{e}:{_frac_str(c)}" for e, c in rec.bias.coeffs),
+    )
+    if with_fas_extras:
+        row["max_forward"] = rec.fas.max_forward
+        row["witness"] = " ".join(str(v + 1) for v in rec.fas.witness_order)
+    return row
 
 
 def _density_rows(reports) -> Emitter:
@@ -169,7 +191,7 @@ def _density_rows(reports) -> Emitter:
     names = ["pattern_canon", "n", "mode", "samples"]
     names += ["estimate_num", "estimate_den"] if exact else ["estimate", "stderr"]
     names += ["typical_num", "typical_den", "ratio_approx", "margin"]
-    emitter = Emitter(names)
+    rows = []
     for r in reports:
         row = dict(
             pattern_canon=r.pattern.bits,
@@ -188,8 +210,8 @@ def _density_rows(reports) -> Emitter:
             row["estimate"] = repr(r.estimate)
             row["stderr"] = repr(r.stderr)
             row["margin"] = "" if r.margin is None else repr(r.margin)
-        emitter.add(**row)
-    return emitter
+        rows.append(row)
+    return Emitter(names, rows)
 
 
 def _log_config(args) -> None:
@@ -214,14 +236,31 @@ class RunStats:
         self.searches = core._canon_searches
         self.dp_entries = fas._dp_entries
         self.stages: dict[str, float] = {}
+        self._nested: list[float] = []  # per open stage: time of the stages inside it
 
     @contextmanager
     def stage(self, name: str):
+        """Time the block as stage ``name``, less the stages run inside it."""
         start = perf_counter()
+        self._nested.append(0.0)
         try:
             yield
         finally:
-            self.stages[name] = self.stages.get(name, 0.0) + perf_counter() - start
+            spent = perf_counter() - start
+            self.stages[name] = self.stages.get(name, 0.0) + spent - self._nested.pop()
+            if self._nested:
+                self._nested[-1] += spent
+
+    def timed(self, name: str, items: Iterable) -> Iterator:
+        """The items, the time spent producing each counted as stage ``name``."""
+        items = iter(items)
+        while True:
+            with self.stage(name):
+                try:
+                    item = next(items)
+                except StopIteration:
+                    return
+            yield item
 
     def line(self, command: str, code: int | None) -> str:
         """One JSON object; ``exit`` is null when an uncaught exception ended
@@ -259,11 +298,12 @@ def _catalog(args, stats: RunStats, host=None) -> TournamentCatalog:
         )
 
 
-def _records(args, stats: RunStats, host=None) -> list[ClassificationRecord]:
-    """One classification record per class of the --h catalog."""
+def _records(args, stats: RunStats, host=None) -> Iterator[ClassificationRecord]:
+    """One classification record per class of the --h catalog, in catalog
+    order, as each is classified; the catalog is read before this returns."""
     catalog = _catalog(args, stats, host)
-    with stats.stage("classify"):
-        return classify_catalog(catalog, threads=args.threads, progress=_progress_logger)
+    return stats.timed("classify", _classified(
+        catalog, threads=args.threads, progress=_progress_logger))
 
 
 def _cmd_enumerate(args, stats: RunStats) -> int:
@@ -277,17 +317,18 @@ def _cmd_enumerate(args, stats: RunStats) -> int:
 
 def _cmd_table(args, stats: RunStats) -> int:
     """bias-table, and fas-table with the max_forward and witness columns."""
-    records = _records(args, stats)
+    emitter = _classification_rows(_records(args, stats),
+                                   with_fas_extras=args.command == "fas-table")
     with stats.stage("output"):
-        emitter = _classification_rows(records, with_fas_extras=args.command == "fas-table")
-        _write_output(emitter.render(args.format), args.out)
+        _write_output(emitter, args.format, args.out)
     return 0
 
 
 def _cmd_classify(args, stats: RunStats) -> int:
-    records = _records(args, stats)
-    total = len(records)
-    hits = sum(r.in_Bh for r in records)
+    total = hits = 0
+    for record in _records(args, stats):
+        total += 1
+        hits += record.in_Bh
     print(f"h={args.h} |T_h|={total} |B_h|={hits} ratio_approx={hits / total!r}")
     return 0
 
@@ -334,7 +375,7 @@ def _census(args, stats: RunStats, g, patterns: list[Tournament], beta: Fraction
             patterns, g, beta, mode=_MODES[args.mode], samples=args.samples, seed=args.seed
         )
     with stats.stage("output"):
-        _write_output(_density_rows(reports).render(args.format), args.out)
+        _write_output(_density_rows(reports), args.format, args.out)
     return reports
 
 

@@ -39,10 +39,11 @@ __all__ = [
 
 MAX_BIG_VERTICES = 2048
 _WRAP = 512  # serialized bit-line width
+_SLICE = 1 << 16  # Philox words drawn and reduced at a time
 
 
 class BadProbability(ValueError):
-    """Edge probability outside [0, 1]."""
+    """Edge probability outside [0, 1], or with a denominator of 2^64 or more."""
 
 
 class NotMultiple(ValueError):
@@ -140,20 +141,29 @@ def _rational_bits(m: int, p: Fraction, seed: int) -> np.ndarray:
     Rejection sampling on raw Philox words: pair t consults stream words
     r*m+t for rounds r = 0, 1, ... until one falls below the largest
     multiple of b, then reduces it mod b.  Rounds past the first occur
-    with probability < b/2^64 per pair.
+    with probability < b/2^64 per pair.  Each round draws its m words in
+    order, _SLICE at a time, so memory follows the slice, not m.
     """
     num, den = p.numerator, p.denominator
     gen = np.random.Generator(np.random.Philox(key=seed))
-    out = np.zeros(m, dtype=np.uint8)
-    pending = np.arange(m)
-    cutoff = (1 << 64) - ((1 << 64) % den)
-    while pending.size:
-        words = gen.integers(0, 1 << 64, size=m, dtype=np.uint64, endpoint=False)
-        w = words[pending]
-        ok = w < cutoff if cutoff < (1 << 64) else np.ones(w.shape, dtype=bool)
-        accepted = pending[ok]
-        out[accepted] = (w[ok] % den) < num
-        pending = pending[~ok]
+    top = np.uint64((1 << 64) - (1 << 64) % den - 1)  # the largest word accepted
+    out = np.empty(m, dtype=np.uint8)  # a rejected pair's bit is rewritten later
+    pending = None  # pairs still to decide, ascending; None in round 0: all
+    while pending is None or pending.size:
+        rejected = []
+        for start in range(0, m, _SLICE):
+            words = gen.integers(0, 1 << 64, size=min(_SLICE, m - start), dtype=np.uint64)
+            if pending is None:
+                pairs = slice(start, start + words.size)
+                redraw = start + np.flatnonzero(words > top)
+            else:
+                lo, hi = np.searchsorted(pending, (start, start + words.size))
+                pairs = pending[lo:hi]
+                words = words[pairs - start]
+                redraw = pairs[words > top]
+            out[pairs] = words % den < num
+            rejected.append(redraw)
+        pending = np.concatenate(rejected)
     return out
 
 
@@ -175,6 +185,8 @@ def build_tnp(n: int, p: Fraction | int, seed: int) -> BigTournament:
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise BadProbability(f"p must lie in [0, 1], got {p}")
+    if p.denominator >> 64:  # a word is reduced mod the denominator
+        raise BadProbability(f"p needs a denominator below 2^64, got {p}")
     adj = _from_pair_bits(n, _rational_bits(pair_count(n), p, seed))
     provenance = {"kind": "tnp", "n": n, "p": f"{p.numerator}/{p.denominator}", "seed": seed}
     return BigTournament(n=n, adj=adj, provenance=provenance)

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator, TextIO
 
 from .core import Tournament, _bits, _canon_search, _pool_size, _process_pool, pair_count
 
@@ -110,10 +111,12 @@ def _extend_all(h: int, parents: list[str]) -> tuple[set[int], int]:
 
 def _check_range(h: int) -> None:
     if not 1 <= h <= len(_CATALOG_SHA256):
-        # scaled from h=9 on one thread: 66 s to classify 191,536 classes (346 us
-        # each, 1.9x the 185 us per class at h=8) in a process peaking at 978 MB
+        # scaled from h=9 on one thread: fas-table wrote all 191,536 rows in
+        # 59 s (306 us per class; about 1.9x that one level up), peaking at
+        # 125 MB, of which all but the interpreter's 17 MB (the catalog, each
+        # item's cached masks, one block's DP memo) grows 50.8x at h=10
         cost = (": its 9,733,056 classes would take an estimated 30 minutes to "
-                "enumerate, and about 2 hours and some 50 GB of memory to classify "
+                "enumerate, and about 2 hours and some 6 GB of memory to classify "
                 "on one thread") if h == 10 else ""
         raise Unsupported(f"enumeration supports 1 <= h <= 9, got {h}{cost}")
 
@@ -167,17 +170,26 @@ def _read_cache(path: Path, h: int) -> TournamentCatalog:
     return TournamentCatalog(h, tuple(Tournament(h, bits) for bits in body))
 
 
-def _write_cache(path: Path, catalog: TournamentCatalog) -> None:
-    """Write an 'h=<h>' header and one canon per line, through a temporary
-    file beside ``path`` so that no reader ever sees a partial catalog."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"h={catalog.h}"] + [t.bits for t in catalog.items]
+@contextmanager
+def _replacing(path: Path) -> Iterator[TextIO]:
+    """A text stream to a temporary file beside ``path`` that replaces
+    ``path`` when the block ends without error, so that no reader ever sees
+    a partial file; the temporary file never outlives the block."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text("\n".join(lines) + "\n", newline="\n")
+        with open(tmp, "w", newline="\n") as stream:
+            yield stream
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _write_cache(path: Path, catalog: TournamentCatalog) -> None:
+    """Write an 'h=<h>' header and one canon per line, atomically."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    lines = [f"h={catalog.h}"] + [t.bits for t in catalog.items]
+    with _replacing(path) as stream:
+        stream.write("\n".join(lines) + "\n")
 
 
 def load_or_enumerate(

@@ -188,7 +188,7 @@ class TestConstructAndDensity:
 
     @pytest.mark.parametrize("stage, argv", [
         ("load_or_enumerate", ("density", "--pattern", "all", "--h", "4")),
-        ("classify_catalog", ("dominance-check", "--h", "4", "--x", "1/10")),
+        ("_classified", ("dominance-check", "--h", "4", "--x", "1/10")),
     ], ids=["density", "dominance-check"])
     def test_catalog_stages_get_threads(self, run, tmp_path, monkeypatch, stage, argv):
         from tourlab import cli
@@ -305,7 +305,7 @@ class TestErrors:
 
             return call
 
-        for stage in ("load_or_enumerate", "classify_catalog"):
+        for stage in ("load_or_enumerate", "_classified"):
             monkeypatch.setattr(cli, stage, recording(stage))
         run("construct", "--kind", "tnp", "--n", n, "--p", "1/2",
             "--seed", "1", "--out", "g.txt")
@@ -415,8 +415,63 @@ class TestPinnedOutput:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_h8_fas_table_pinned(self, catalog8, threads):
         records = classify_catalog(catalog8, threads=threads)
-        text = _classification_rows(records, with_fas_extras=True).render("csv")
-        assert hashlib.sha256(text.encode()).hexdigest() == self.FAS_TABLE_H8
+        buf = io.StringIO()
+        _classification_rows(records, with_fas_extras=True).write("csv", buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == self.FAS_TABLE_H8
+
+
+class TestStreamedOutput:
+    # sha256 of the h=6 tables as rendered whole, before rows were streamed
+    PINS = {
+        ("bias-table", "csv"): "57612ce390e90c22296774becb20445f13b3523d5e8600b27b84e2d3a8e0a8b9",
+        ("bias-table", "json"): "48a6fdc915f177a46cd5ece0c8c391f25a36288cebb87d3b743a74ea523a0ab7",
+        ("fas-table", "csv"): "14c01fbb96b0312effe6e8f8e30f2d6ef397170fcd62c02268dc37070e168493",
+        ("fas-table", "json"): "cd095e274b343b85eb07afc6c540e560898d2045bfdbeb027f32108c47e15727",
+    }
+
+    @pytest.mark.parametrize("command, fmt", sorted(PINS))
+    def test_h6_bytes_pinned_and_out_matches_stdout(self, run, command, fmt):
+        code, out = run(command, "--h", "6", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINS[command, fmt]
+        code, again = run(command, "--h", "6", "--format", fmt, "--out", "table.txt")
+        assert (code, again) == (0, "")
+        assert (run.tmp_path / "table.txt").read_bytes() == out.encode()
+        assert sorted(p.name for p in run.tmp_path.iterdir()) == [".tourlab-cache", "table.txt"]
+
+    def test_empty_json_list(self, run, tmp_path):
+        run("construct", "--kind", "tnp", "--n", "10", "--p", "1/2",
+            "--seed", "1", "--out", "g.txt")
+        (tmp_path / "none.txt").write_text("h=4\n")
+        code, out = run("density", "--graph", "g.txt", "--pattern", "none.txt",
+                        "--format", "json")
+        assert (code, out) == (0, "[]\n")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_internal_error_mid_table(self, run, monkeypatch, fmt):
+        from tourlab import bias
+
+        real, calls = bias._bias_from_counts, []
+
+        def faulty(h, counts, aut):
+            calls.append(h)
+            if len(calls) == 30:
+                raise bias.OddCoefficientResidue(f"odd coefficient in class 30 at h={h}")
+            return real(h, counts, aut)
+
+        monkeypatch.setattr(bias, "_bias_from_counts", faulty)
+        code, out = run("fas-table", "--h", "6", "--format", fmt, "--out", "table.txt")
+        assert (code, out) == (4, "")
+        assert run.stderr.splitlines()[-1] == "internal error: odd coefficient in class 30 at h=6"
+        assert [p.name for p in run.tmp_path.iterdir()] == [".tourlab-cache"]
+        # stdout keeps the rows written before the error, and no closing bracket
+        calls.clear()
+        code, out = run("fas-table", "--h", "6", "--format", fmt)
+        assert code == 4
+        if fmt == "csv":
+            assert len(out.splitlines()) == 1 + 29
+        else:
+            assert out.count('"canon"') == 29 and not out.rstrip().endswith("]")
 
 
 class TestConfigFile:

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from tourlab.construct import (
+    _SLICE,
     BadProbability,
     BigTournament,
     NotMultiple,
     StarTooBig,
+    _rational_bits,
     blowup_group_count,
     build_blowup,
     build_tnp,
@@ -35,6 +37,10 @@ class TestTnp:
             build_tnp(10, Fraction(3, 2), seed=0)
         with pytest.raises(BadProbability):
             build_tnp(10, Fraction(-1, 2), seed=0)
+        for den in (1 << 64, (1 << 64) + 1):
+            with pytest.raises(BadProbability, match="denominator below 2"):
+                build_tnp(10, Fraction(1, den), seed=0)
+        assert build_tnp(10, Fraction((1 << 64) - 2, (1 << 64) - 1), seed=0).n == 10
 
     def test_seed_determinism(self):
         a = build_tnp(100, Fraction(1, 2), seed=42)
@@ -245,3 +251,46 @@ class TestAdjacency:
         g = BigTournament.from_text(HAND_TEXT)
         assert g.adj.tolist() == HAND_ADJ
         assert "".join(map(str, g.bit_array().tolist())) == "0110100101"
+
+
+# At p = a/(2^63+1) about half of all Philox words lie above the largest
+# multiple of the denominator, so about half the pairs of each round go on
+# to the next: some 17 rounds at m = 2^17.  m = 3 is below one slice and
+# 2^17 is exactly two.  sha256 of _rational_bits(m, 2^62/(2^63+1), seed),
+# recorded from the draw that held all m words of a round at once.
+REJECTION_DEN = (1 << 63) + 1
+REJECTION_SHA256 = {
+    (3, 1): "fbb59ed10e9cd4ff45a12c5bb92cbd80df984ba1fe60f26a30febf218e2f0f5e",
+    (3, 2): "709e80c88487a2411e1ee4dfb9f22a861492d20c4765150c0c794abd70f8147c",
+    (3, 3): "9f44ac6acb8a37b00b615dc89259d306035be82dee7db2b472e4c48326195440",
+    (1 << 17, 1): "79521c6629fefccc09a0e4a8a6c5f43061d0abb08b014e9ef425d5e013e09eb2",
+    (1 << 17, 2): "30e82487ec3ca600513a80ecbcf1218b6dd8cd82af27b40b1d7a1a07734ad167",
+    (1 << 17, 3): "21fb6fd0a15efcfa1a9adef9ec56e52bb2598f216fe7d983f0598de4087c225f",
+    (100_003, 1): "474d00c99f980515e79868ee234981b15983d6fe04fed799d2b8e1198fecd510",
+    (100_003, 2): "05e7349bf8c272bd15cb5ac06bb78b84054d632f5dd9b9147c61a16325ae8b0c",
+    (100_003, 3): "5136349662ca3b7ddb3df63b2ffe742592e26c70d73badb9a9d6edd451978f17",
+}
+
+
+class TestRejectionRounds:
+    def test_sizes_straddle_the_slice(self):
+        assert 3 < _SLICE and 1 << 17 == 2 * _SLICE and 100_003 % _SLICE
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("m", [3, 1 << 17, 100_003])
+    def test_bits_pinned(self, m, seed):
+        # at a = 1 every bit is 0 (p < 2^-63), whichever words the pairs read
+        low = _rational_bits(m, Fraction(1, REJECTION_DEN), seed)
+        assert low.shape == (m,) and low.dtype == np.uint8 and not low.any()
+        bits = _rational_bits(m, Fraction(1 << 62, REJECTION_DEN), seed)
+        assert bits.shape == (m,)
+        assert hashlib.sha256(bits.tobytes()).hexdigest() == REJECTION_SHA256[m, seed]
+
+    def test_rounds_past_the_first_are_taken(self):
+        # the round-0 word of about half the pairs is rejected, so the pinned
+        # bits above depend on the words of later rounds
+        words = np.random.Generator(np.random.Philox(key=1)).integers(
+            0, 1 << 64, size=100_003, dtype=np.uint64)
+        top = (1 << 64) - (1 << 64) % REJECTION_DEN - 1
+        rejected = int((words > np.uint64(top)).sum())
+        assert 0.45 < rejected / 100_003 < 0.55

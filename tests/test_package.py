@@ -1,7 +1,8 @@
-"""The package namespace and what each kind of process imports."""
+"""The package namespace, and what each kind of process imports and holds."""
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 import tourlab
 from tourlab import construct, core, density
+from tourlab.enumeration import _write_cache, cache_path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -59,3 +61,34 @@ def test_unknown_attribute_raises():
 def test_error_classes_are_reexported():
     assert density.TooLarge is core.TooLarge
     assert construct.PackingFailed is core.PackingFailed
+
+
+# A process's peak RSS starts at that of the process that spawned it (Linux
+# keeps the larger across exec), so each measured interpreter is spawned by
+# a small intermediate one, not by the test process.
+_SPAWN = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+
+
+def _peak_rss_mb(*argv: str, cwd: Path) -> float:
+    """Peak RSS of a ``tourlab.cli`` run, from its --stats line."""
+    result = _python("-c", _SPAWN, sys.executable, "-m", "tourlab.cli", *argv, "--stats",
+                     cwd=cwd)
+    return json.loads(result.stderr.splitlines()[-1])["peak_rss_mb"]
+
+
+def test_construct_memory_follows_the_draw_slice(tmp_path):
+    # a whole-stream draw held some 100 MB of word and index arrays at n=2048
+    code = ("import resource, sys, numpy; rss = resource.getrusage(resource.RUSAGE_SELF)"
+            ".ru_maxrss; print(rss / (1 << 20 if sys.platform == 'darwin' else 1 << 10))")
+    numpy_only = float(_python("-c", _SPAWN, sys.executable, "-c", code, cwd=tmp_path).stdout)
+    built = _peak_rss_mb("construct", "--kind", "tnp", "--n", "2048", "--p", "3/5",
+                         "--seed", "1", "--out", "g.txt", cwd=tmp_path)
+    assert built - numpy_only <= 25, (built, numpy_only)
+
+
+def test_table_memory_follows_one_record(tmp_path, catalog8):
+    # holding every record, row and the rendered h=8 table took some 25 MB more
+    _write_cache(cache_path(8, tmp_path / ".tourlab-cache"), catalog8)
+    catalog_only = _peak_rss_mb("enumerate", "--h", "8", cwd=tmp_path)
+    table = _peak_rss_mb("fas-table", "--h", "8", cwd=tmp_path)
+    assert table - catalog_only <= 15, (table, catalog_only)
