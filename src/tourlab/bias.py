@@ -20,23 +20,13 @@ Fraction at the boundary.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from typing import Callable, Iterator
 
-from .core import (
-    CanonicalForm,
-    Tournament,
-    _bits,
-    _canon_search,
-    _pool_size,
-    _process_pool,
-    aut_size,
-    pair_count,
-)
+from .core import CanonicalForm, Tournament, _canonical, aut_size, pair_count
 from .enumeration import TournamentCatalog
 from .fas import FasResult, _fas, _histogram_counts, _new_memo
 
@@ -217,7 +207,13 @@ def density_poly_p(t: Tournament) -> DensityPolynomialP:
 
 def typical_density(t: Tournament) -> Fraction:
     """d(H) = h! 2^(-C(h,2)) / aut(H); equals B(H,0)."""
-    return Fraction(factorial(t.h), aut_size(t) << pair_count(t.h))
+    return _typical(t.h, aut_size(t))
+
+
+def _typical(h: int, aut: int) -> Fraction:
+    """h! 2^(-C(h,2)) / aut: the typical density of a class with ``aut``
+    automorphisms."""
+    return Fraction(factorial(h), aut << pair_count(h))
 
 
 def in_bias_subset(t: Tournament) -> bool:
@@ -254,66 +250,42 @@ def _beats_typical(bias: BiasPolynomial, x: Fraction) -> bool:
 
 
 def _classify_one(t: Tournament, memo: dict[int, int]) -> ClassificationRecord:
-    value, aut = _canon_search(t.h, t.out_masks)
+    form, aut = _canonical(t)
     bias = _bias_from_counts(t.h, _histogram_counts(t, memo), aut)
     return ClassificationRecord(
-        canonical_form=CanonicalForm(t.h, _bits(value, t.m)),
+        canonical_form=form,
         aut=aut,
-        typical_density=Fraction(factorial(t.h), aut << t.m),
+        typical_density=_typical(t.h, aut),
         bias=bias,
         fas=_fas(t, memo),
         in_Bh=_rises_at_zero(bias),
     )
 
 
-def _classify_block(items: tuple[Tournament, ...]) -> Iterator[ClassificationRecord]:
-    """Records of a run of catalog items, whose subset DP shares one memo:
-    neighbouring canonical forms share most of their sub-tournaments."""
-    memo = _new_memo()
-    for t in items:
-        yield _classify_one(t, memo)
-
-
-def _classify_block_list(items: tuple[Tournament, ...]) -> list[ClassificationRecord]:
-    """A pool task: the records of ``_classify_block``, sent back whole."""
-    return list(_classify_block(items))
-
-
 def _classified(
-    catalog: TournamentCatalog,
-    threads: int = 1,
-    progress: Callable[[str], None] | None = None,
+    catalog: TournamentCatalog, progress: Callable[[str], None] | None = None
 ) -> Iterator[ClassificationRecord]:
     """One ClassificationRecord per class, in catalog order, yielded as soon
     as it exists, so a caller that consumes records as they come holds
-    one subset-DP memo, and on worker processes one block of records.
+    one subset-DP memo.
 
     Items are classified in blocks of 4096 consecutive classes, each with
-    one subset-DP memo; blocks are pure and data-parallel over
-    min(threads, CPUs) worker processes, and come back in input order, so
-    the records are identical for any thread count.  ``progress`` receives
-    a status line per block.
+    one subset-DP memo: neighbouring canonical forms share most of their
+    sub-tournaments.  ``progress`` receives a status line per block.
     """
     items = catalog.items
-    workers = _pool_size(threads)
     step = 4096
-    blocks = [items[start : start + step] for start in range(0, len(items), step)]
-    pooled = workers > 1 and len(blocks) > 1
-    done = 0
-    with _process_pool(workers) if pooled else nullcontext() as pool:
-        runs = pool.map(_classify_block_list, blocks) if pooled else map(_classify_block, blocks)
-        for block, records in zip(blocks, runs):
-            yield from records
-            done += len(block)
-            if progress is not None:
-                progress(f"classified {done}/{len(items)}")
+    for start in range(0, len(items), step):
+        memo = _new_memo()
+        for t in items[start : start + step]:
+            yield _classify_one(t, memo)
+        if progress is not None:
+            progress(f"classified {min(start + step, len(items))}/{len(items)}")
 
 
 def classify_catalog(
-    catalog: TournamentCatalog,
-    threads: int = 1,
-    progress: Callable[[str], None] | None = None,
+    catalog: TournamentCatalog, progress: Callable[[str], None] | None = None
 ) -> list[ClassificationRecord]:
-    """One ClassificationRecord per class, in catalog order, identical for any
-    thread count: the records of ``_classified`` as a list."""
-    return list(_classified(catalog, threads, progress))
+    """One ClassificationRecord per class, in catalog order: the records of
+    ``_classified`` as a list."""
+    return list(_classified(catalog, progress))

@@ -16,14 +16,16 @@ before an error stopped the command.
 Exit codes: 0 success, 2 bad arguments, 3 resource guard tripped,
 4 internal assertion.
 
+--threads caps the worker processes of enumeration, the one stage they
+pay for; classification runs in this process, record by record.
+
 With --stats, one JSON line goes to stderr when the command ends, whether
 it succeeds or fails: the wall time of each stage (less the stages that
 run inside it: the table commands classify while they write), the largest
-worker pool this process started, its peak RSS, the canonical searches
-and subset-DP memo entries the command computed in this process (pool
-workers are separate processes), the canonical-form cache counts and
-whether numpy and mpmath were loaded.  stdout is the same with or without
-it.
+worker pool this process started, this process's own peak RSS, the
+canonical searches and subset-DP memo entries the command computed in
+this process (enumeration workers are separate processes) and whether
+numpy and mpmath were loaded.  stdout is the same with or without it.
 
 Only the commands that read or build big tournaments (construct, density,
 dominance-check) import the numpy layers, inside their handlers.
@@ -265,20 +267,32 @@ class RunStats:
     def line(self, command: str, code: int | None) -> str:
         """One JSON object; ``exit`` is null when an uncaught exception ended
         the command."""
-        import resource  # here, not at module level: only --stats reads it
-        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         return json.dumps({
             "command": command,
             "exit": code,
             "total_s": round(perf_counter() - self.start, 6),
             "stages_s": {name: round(t, 6) for name, t in self.stages.items()},
             "workers": core._peak_workers,
-            "peak_rss_mb": round(rss / (1 << 20 if sys.platform == "darwin" else 1 << 10), 1),
+            "peak_rss_mb": _peak_rss_mb(),
             "canon_searches": core._canon_searches - self.searches,
             "dp_entries": fas._dp_entries - self.dp_entries,
-            "canon_cache": core._canonical_data.cache_info()._asdict(),
             "loaded": {name: name in sys.modules for name in ("numpy", "mpmath")},
         }, sort_keys=True)
+
+
+def _peak_rss_mb() -> float:
+    """This process's own peak RSS: VmHWM on Linux.  Elsewhere ru_maxrss,
+    which on some systems starts at the peak of the spawning process."""
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return round(int(line.split()[1]) / 1024, 1)  # kB
+    except OSError:
+        pass
+    import resource  # here, not at module level: only --stats reads it
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return round(rss / (1 << 20 if sys.platform == "darwin" else 1 << 10), 1)
 
 
 def _catalog(args, stats: RunStats, host=None) -> TournamentCatalog:
@@ -302,8 +316,7 @@ def _records(args, stats: RunStats, host=None) -> Iterator[ClassificationRecord]
     """One classification record per class of the --h catalog, in catalog
     order, as each is classified; the catalog is read before this returns."""
     catalog = _catalog(args, stats, host)
-    return stats.timed("classify", _classified(
-        catalog, threads=args.threads, progress=_progress_logger))
+    return stats.timed("classify", _classified(catalog, progress=_progress_logger))
 
 
 def _cmd_enumerate(args, stats: RunStats) -> int:
@@ -413,7 +426,7 @@ def _cmd_dominance_check(args, stats: RunStats) -> int:
 
 def _add_common(sub, cache: bool = True) -> None:
     sub.add_argument("--threads", type=int, default=1,
-                     help="worker cap for data-parallel stages")
+                     help="worker cap for enumeration")
     sub.add_argument("--allow-long", action="store_true",
                      help="permit h>=9 computations")
     sub.add_argument("--config", default=None,

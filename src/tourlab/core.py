@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
@@ -278,22 +278,20 @@ def _canon_search(h: int, out: tuple[int, ...]) -> tuple[int, int]:
     return best, naut
 
 
-@lru_cache(maxsize=1 << 16)
-def _canonical_data(h: int, bits: str) -> tuple[str, int]:
-    value, naut = _canon_search(h, Tournament(h, bits).out_masks)
-    return _bits(value, pair_count(h)), naut
+def _canonical(t: Tournament) -> tuple[CanonicalForm, int]:
+    """Canonical form and aut(t), from one canonical search."""
+    value, naut = _canon_search(t.h, t.out_masks)
+    return CanonicalForm(t.h, _bits(value, t.m)), naut
 
 
 def canonical_form(t: Tournament) -> CanonicalForm:
     """Canonical form of t; equal canonical forms <=> isomorphic."""
-    canon, _ = _canonical_data(t.h, t.bits)
-    return CanonicalForm(t.h, canon)
+    return _canonical(t)[0]
 
 
 def aut_size(t: Tournament) -> int:
     """Order of the automorphism group of t; divides h!."""
-    _, naut = _canonical_data(t.h, t.bits)
-    return naut
+    return _canonical(t)[1]
 
 
 def _vertex_count(g) -> int:

@@ -24,9 +24,10 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .bias import BiasPolynomial, bias_polynomial, typical_density
+from .bias import BiasPolynomial, _typical, bias_polynomial
 from .core import (
-    CanonicalForm, TooLarge, Tournament, _bits, canonical_form, pair_count, pair_index,
+    CanonicalForm, TooLarge, Tournament, _bits, _canonical, canonical_form, pair_count,
+    pair_index,
 )
 from .construct import BigTournament, check_seed
 
@@ -289,8 +290,9 @@ def dominance_report(
 ) -> list[DensityReport]:
     """One report per pattern against the same G, sharing a single census
     pass.  The request is checked as a whole (``_census_total``) before any
-    census work.  With a beta, ``margin > 0`` means the pattern beats
-    (1+beta) times typical."""
+    census work.  Each pattern costs one canonical search, for its class and
+    its typical density.  With a beta, ``margin > 0`` means the pattern
+    beats (1+beta) times typical."""
     if not patterns:
         return []
     h = patterns[0].h
@@ -303,8 +305,9 @@ def dominance_report(
         census = _mc_census(g, h, samples, seed)
     reports = []
     for t in patterns:
-        typical = typical_density(t)
-        hits = census.get(canonical_form(t).bits, 0)
+        form, aut = _canonical(t)
+        typical = _typical(h, aut)
+        hits = census.get(form.bits, 0)
         if mode == "exact":
             estimate: Fraction | float = Fraction(hits, total)
             stderr = None
@@ -316,7 +319,7 @@ def dominance_report(
             ratio = estimate / float(typical)
             margin = None if beta is None else estimate - float((1 + Fraction(beta)) * typical)
         reports.append(DensityReport(
-            pattern=canonical_form(t),
+            pattern=form,
             n=g.n,
             mode=mode,
             samples=samples,

@@ -93,7 +93,7 @@ def all_catalogs(catalogs, catalog8):
 
 @pytest.fixture(scope="module")
 def records8(catalog8):
-    return classify_catalog(catalog8, threads=2)
+    return classify_catalog(catalog8)
 
 
 @criterion(1, "enumeration counts match the known values for h=3..8")
@@ -133,7 +133,7 @@ def test_criterion_03_bh_counts(all_catalogs, records8):
 @criterion(3, "optional h=9 bias-subset size")
 def test_criterion_03_optional_h9():
     catalog = enumerate_tournaments(9, threads=2)
-    records = classify_catalog(catalog, threads=2)
+    records = classify_catalog(catalog)
     assert sum(r.in_Bh for r in records) == 79229
 
 

@@ -7,6 +7,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings
 
+from tourlab import bias as bias_module
 from tourlab.bias import (
     OddCoefficientResidue,
     XOutOfRange,
@@ -28,6 +29,7 @@ from tourlab.core import (
     reverse,
     transitive,
 )
+from tourlab.enumeration import TournamentCatalog
 
 import oracles
 from strategies import tournaments
@@ -254,7 +256,16 @@ class TestClassifyCatalog:
                 assert oracles.forward_edges(t, rec.fas.witness_order) == rec.fas.max_forward
                 assert rec.in_Bh == in_bias_subset(t)
 
-    def test_thread_count_invariance(self, catalogs):
-        assert classify_catalog(catalogs[5], threads=1) == classify_catalog(
-            catalogs[5], threads=4
-        )
+    def test_one_memo_and_progress_line_per_block(self, catalogs, monkeypatch):
+        items = catalogs[3].items * 2049  # 4098 classes: a full block and two more
+        real_memo, memos, lines = bias_module._new_memo, [], []
+
+        def new_memo():
+            memos.append(real_memo())
+            return memos[-1]
+
+        monkeypatch.setattr(bias_module, "_new_memo", new_memo)
+        records = classify_catalog(TournamentCatalog(3, items), progress=lines.append)
+        assert len(memos) == 2
+        assert lines == ["classified 4096/4098", "classified 4098/4098"]
+        assert records == classify_catalog(catalogs[3]) * 2049

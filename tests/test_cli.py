@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import hashlib
 import io
@@ -9,9 +10,9 @@ from math import comb
 
 import pytest
 
-from tourlab.bias import classify_catalog
-from tourlab.cli import _classification_rows, main
+from tourlab.cli import main
 from tourlab.construct import BigTournament
+from tourlab.enumeration import _write_cache, cache_path
 
 
 @pytest.fixture()
@@ -186,21 +187,22 @@ class TestConstructAndDensity:
         code, _ = run("density", "--graph", str(out_file), "--pattern", "T5")
         assert code == 3
 
-    @pytest.mark.parametrize("stage, argv", [
-        ("load_or_enumerate", ("density", "--pattern", "all", "--h", "4")),
-        ("_classified", ("dominance-check", "--h", "4", "--x", "1/10")),
+    @pytest.mark.parametrize("argv", [
+        ("density", "--pattern", "all", "--h", "4"),
+        ("dominance-check", "--h", "4", "--x", "1/10"),
     ], ids=["density", "dominance-check"])
-    def test_catalog_stages_get_threads(self, run, tmp_path, monkeypatch, stage, argv):
+    def test_catalog_stages_get_threads(self, run, tmp_path, monkeypatch, argv):
+        # --threads reaches enumeration, the one stage with worker processes
         from tourlab import cli
 
         seen = []
-        real = getattr(cli, stage)
+        real = cli.load_or_enumerate
 
         def recording(*args, **kwargs):
             seen.append(kwargs.get("threads"))
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, stage, recording)
+        monkeypatch.setattr(cli, "load_or_enumerate", recording)
         run("construct", "--kind", "tnp", "--n", "12", "--p", "1/2",
             "--seed", "3", "--out", str(tmp_path / "g.txt"))
         code, _ = run(argv[0], "--graph", str(tmp_path / "g.txt"), *argv[1:], "--threads", "2")
@@ -386,7 +388,7 @@ class TestStats:
         assert stats["workers"] >= 1 and stats["peak_rss_mb"] > 0
         assert stats["canon_searches"] == 12  # warm cache: one per classified class
         assert stats["dp_entries"] == 35  # distinct induced codes of the 12 classes
-        assert set(stats["canon_cache"]) == {"hits", "misses", "maxsize", "currsize"}
+        assert "canon_cache" not in stats
         assert set(stats["loaded"]) == {"numpy", "mpmath"}
 
     def test_stats_line_on_failure(self, run):
@@ -412,12 +414,17 @@ class TestPinnedOutput:
     # sha256 of `fas-table --h 8` stdout, the table the catalog-h8 benchmark checks
     FAS_TABLE_H8 = "1aeee81b75dc48cd165282ade3387474c332c2a48e6f1387603fa9b19adc4dcb"
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_h8_fas_table_pinned(self, catalog8, threads):
-        records = classify_catalog(catalog8, threads=threads)
-        buf = io.StringIO()
-        _classification_rows(records, with_fas_extras=True).write("csv", buf)
-        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == self.FAS_TABLE_H8
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_h8_fas_table_pinned(self, run, catalog8, monkeypatch, threads):
+        # a warm cache: no enumeration, and classification starts no process pool
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        _write_cache(cache_path(8, run.tmp_path / ".tourlab-cache"), catalog8)
+        code, out = run("fas-table", "--h", "8", "--threads", threads)
+        assert code == 0, run.stderr
+        assert hashlib.sha256(out.encode()).hexdigest() == self.FAS_TABLE_H8
 
 
 class TestStreamedOutput:

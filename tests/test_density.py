@@ -9,7 +9,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
-from tourlab import density
+from tourlab import core, density
 from tourlab.bias import density_poly_p
 from tourlab.construct import build_tnp
 from tourlab.core import Tournament, aut_size, canonical_form, cyclic3, pair_count, transitive
@@ -238,6 +238,14 @@ class TestDominanceReport:
         g = build_tnp(20, Fraction(1, 2), seed=6)
         reports = dominance_report(list(catalogs[4].items), g, beta=Fraction(0))
         assert sum(r.margin for r in reports) == 0
+
+    def test_one_canonical_search_per_pattern(self, catalogs):
+        # the exact census at h=6 maps codes through the orbit table, so every
+        # search is the report's own: the class and aut of one pattern
+        g = build_tnp(12, Fraction(1, 2), seed=6)
+        before = core._canon_searches
+        reports = dominance_report(list(catalogs[6].items), g)
+        assert core._canon_searches - before == len(reports) == 56
 
     def test_empty_subset(self):
         g = build_tnp(20, Fraction(1, 2), seed=6)

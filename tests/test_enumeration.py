@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from tourlab import core, enumeration
-from tourlab.bias import classify_catalog
 from tourlab.core import Tournament, aut_size, canonical_form, pair_count, pair_index
 from tourlab.enumeration import (
     _CATALOG_SHA256,
@@ -138,7 +137,6 @@ def test_pool_size_is_capped_at_cpu_count(monkeypatch):
     monkeypatch.setattr(_InlinePool, "sizes", [])
     catalog = enumerate_tournaments(6, threads=64)
     assert catalog == enumerate_tournaments(6)
-    assert classify_catalog(catalog, threads=64) == classify_catalog(catalog)
     assert _InlinePool.sizes and set(_InlinePool.sizes) == {2}
     assert core._peak_workers == 2
 
@@ -147,8 +145,6 @@ def test_pool_size_is_capped_at_cpu_count(monkeypatch):
 def test_thread_counts_below_one_rejected(threads):
     with pytest.raises(ValueError, match="threads"):
         enumerate_tournaments(5, threads=threads)
-    with pytest.raises(ValueError, match="threads"):
-        classify_catalog(enumerate_tournaments(3), threads=threads)
 
 
 class TestCache:
@@ -225,10 +221,7 @@ class TestCache:
 
         monkeypatch.setattr(core, "_canon_search", search)
         monkeypatch.setattr(enumeration, "_canon_search", search)
-        before = core._canonical_data.cache_info()
         assert load_or_enumerate(8, tmp_path) == catalog8
-        after = core._canonical_data.cache_info()
-        assert (after.hits, after.misses) == (before.hits, before.misses)
 
     def test_import_does_not_load_hashlib(self, tmp_path):
         # hashlib loads OpenSSL; only a cache read needs it

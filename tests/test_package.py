@@ -92,3 +92,14 @@ def test_table_memory_follows_one_record(tmp_path, catalog8):
     catalog_only = _peak_rss_mb("enumerate", "--h", "8", cwd=tmp_path)
     table = _peak_rss_mb("fas-table", "--h", "8", cwd=tmp_path)
     assert table - catalog_only <= 15, (table, catalog_only)
+
+
+def test_stats_reports_the_process_own_peak(tmp_path):
+    # spawned straight from a process that holds some 150 MB; a peak that
+    # counted the spawner's would read above that
+    spawner = ("import subprocess, sys; ballast = b'x' * (150 << 20); "
+               "sys.exit(subprocess.call(sys.argv[1:]))")
+    result = _python("-c", spawner, sys.executable, "-m", "tourlab.cli", "enumerate",
+                     "--h", "3", "--stats", cwd=tmp_path)
+    peak = json.loads(result.stderr.splitlines()[-1])["peak_rss_mb"]
+    assert peak < 100, peak
