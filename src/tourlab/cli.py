@@ -19,13 +19,17 @@ Exit codes: 0 success, 2 bad arguments, 3 resource guard tripped,
 --threads caps the worker processes of enumeration, the one stage they
 pay for; classification runs in this process, record by record.
 
+--config names a JSON object of flags, keyed like the logged configuration,
+parsed before the command line's own flags, which win: true is a bare flag,
+false and null are left out, and an unknown key or a bad value exits 2.
+
 With --stats, one JSON line goes to stderr when the command ends, whether
 it succeeds or fails: the wall time of each stage (less the stages that
 run inside it: the table commands classify while they write), the largest
 worker pool this process started, this process's own peak RSS, the
 canonical searches and subset-DP memo entries the command computed in
 this process (enumeration workers are separate processes) and whether
-numpy and mpmath were loaded.  stdout is the same with or without it.
+numpy was loaded.  stdout is the same with or without it.
 
 Only the commands that read or build big tournaments (construct, density,
 dominance-check) import the numpy layers, inside their handlers.
@@ -45,7 +49,7 @@ from pathlib import Path
 from time import perf_counter
 from typing import Iterable, Iterator, TextIO
 
-from . import core, fas
+from . import core, enumeration, fas
 from .bias import (
     ClassificationRecord,
     OddCoefficientResidue,
@@ -88,10 +92,6 @@ def _fraction(text: str) -> Fraction:
 
 def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
-
-
-def _opt_fraction(value) -> Fraction | None:
-    return None if value is None else Fraction(value)
 
 
 def _require(args, *names: str) -> None:
@@ -272,11 +272,11 @@ class RunStats:
             "exit": code,
             "total_s": round(perf_counter() - self.start, 6),
             "stages_s": {name: round(t, 6) for name, t in self.stages.items()},
-            "workers": core._peak_workers,
+            "workers": enumeration._peak_workers,
             "peak_rss_mb": _peak_rss_mb(),
             "canon_searches": core._canon_searches - self.searches,
             "dp_entries": fas._dp_entries - self.dp_entries,
-            "loaded": {name: name in sys.modules for name in ("numpy", "mpmath")},
+            "loaded": {"numpy": "numpy" in sys.modules},
         }, sort_keys=True)
 
 
@@ -353,7 +353,7 @@ def _cmd_construct(args, stats: RunStats) -> int:
     with stats.stage("build"):
         if args.kind == "tnp":
             _require(args, "p")
-            g = build_tnp(args.n, Fraction(args.p), args.seed)
+            g = build_tnp(args.n, args.p, args.seed)
         elif args.kind == "transversal":
             _require(args, "h", "hstar")
             if args.hstar == "all":
@@ -399,7 +399,7 @@ def _cmd_density(args, stats: RunStats) -> int:
         patterns = list(_catalog(args, stats, host=g).items)
     else:
         patterns = _named_patterns(args.pattern, args.h)
-    _census(args, stats, g, patterns, _opt_fraction(args.beta) or Fraction(0))
+    _census(args, stats, g, patterns, args.beta or Fraction(0))
     return 0
 
 
@@ -411,7 +411,7 @@ def _cmd_dominance_check(args, stats: RunStats) -> int:
     if not members:
         print(f"h={args.h} x={_frac_str(x)} family=0 satisfied=0")
         return 0
-    beta = _opt_fraction(args.beta)
+    beta = args.beta
     if beta is None:
         from .density import _margin
         beta = _margin([r.bias for r in members], x) / 2
@@ -438,35 +438,30 @@ def _add_common(sub, cache: bool = True) -> None:
                          help="catalog cache directory (env TOURLAB_CACHE overrides)")
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tourlab", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
-    registry: dict[str, argparse.ArgumentParser] = {}
 
-    p = registry["enumerate"] = commands.add_parser(
-        "enumerate", help="catalog all h-vertex tournaments")
+    p = commands.add_parser("enumerate", help="catalog all h-vertex tournaments")
     p.add_argument("--h", type=int)
     p.add_argument("--out", default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_enumerate)
 
     for name in ("bias-table", "fas-table"):
-        p = registry[name] = commands.add_parser(
-            name, help=f"emit the {name} for the h-catalog")
+        p = commands.add_parser(name, help=f"emit the {name} for the h-catalog")
         p.add_argument("--h", type=int)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None)
         _add_common(p)
         p.set_defaults(func=_cmd_table)
 
-    p = registry["classify"] = commands.add_parser(
-        "classify", help="summary line |T_h|, |B_h|, ratio")
+    p = commands.add_parser("classify", help="summary line |T_h|, |B_h|, ratio")
     p.add_argument("--h", type=int)
     _add_common(p)
     p.set_defaults(func=_cmd_classify)
 
-    p = registry["construct"] = commands.add_parser(
-        "construct", help="build and save a big tournament")
+    p = commands.add_parser("construct", help="build and save a big tournament")
     p.add_argument("--kind", choices=("tnp", "transversal", "blowup"))
     p.add_argument("--n", type=int)
     p.add_argument("--p", type=_fraction, default=None, help="edge probability 'a/b' (tnp)")
@@ -479,8 +474,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     _add_common(p, cache=False)
     p.set_defaults(func=_cmd_construct)
 
-    p = registry["density"] = commands.add_parser(
-        "density", help="measure pattern densities in a graph file")
+    p = commands.add_parser("density", help="measure pattern densities in a graph file")
     p.add_argument("--graph")
     p.add_argument("--pattern", help="'T<h>', 'C3', 'all', or a file")
     p.add_argument("--h", type=int, default=None)
@@ -493,7 +487,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     _add_common(p)
     p.set_defaults(func=_cmd_density)
 
-    p = registry["dominance-check"] = commands.add_parser(
+    p = commands.add_parser(
         "dominance-check", help="measure the F(h,x) family against a graph file")
     p.add_argument("--graph")
     p.add_argument("--h", type=int)
@@ -508,7 +502,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     _add_common(p)
     p.set_defaults(func=_cmd_dominance_check)
 
-    return parser, registry
+    return parser
 
 
 def _extract_config_path(argv: list[str]) -> str | None:
@@ -520,21 +514,32 @@ def _extract_config_path(argv: list[str]) -> str | None:
     return None
 
 
+def _config_flags(path: str) -> list[str]:
+    """A --config JSON object as flags; the command and config entries of a
+    logged configuration are skipped."""
+    entries = json.loads(Path(path).read_text())
+    if not isinstance(entries, dict):
+        raise ValueError("expected a JSON object")
+    flags = []
+    for key, value in entries.items():
+        if key in ("command", "config") or value is False or value is None:
+            continue
+        flag = "--" + key.replace("_", "-")
+        flags.append(flag if value is True else f"{flag}={value}")
+    return flags
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, registry = _build_parser()
     config_path = _extract_config_path(argv)
     if config_path:
         try:
-            defaults = json.loads(Path(config_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            # after the command name and before the user's flags, which win
+            argv[1:1] = _config_flags(config_path)
+        except (OSError, ValueError) as exc:
             print(f"error: cannot read config {config_path}: {exc}", file=sys.stderr)
             return 2
-        command = next((token for token in argv if not token.startswith("-")), None)
-        target = registry.get(command or "", parser)
-        target.set_defaults(
-            **{k: v for k, v in defaults.items() if k not in ("command", "func", "config")}
-        )
+    parser = _build_parser()
     args = parser.parse_args(argv)
     _log_config(args)
     stats = RunStats()

@@ -12,7 +12,6 @@ concurrent workers.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -74,27 +73,8 @@ class PackingFailed(RuntimeError):
     """Randomized clique packing did not succeed within the restart budget."""
 
 
-# Process-wide work counts, reported by `tourlab --stats`: canonical searches
-# run in this process, and the largest process pool it started.
+# Canonical searches run in this process, reported by `tourlab --stats`.
 _canon_searches = 0
-_peak_workers = 1
-
-
-def _pool_size(threads: int) -> int:
-    """Workers for a ``threads`` request: at most one per CPU, since output
-    never depends on the count and more processes would only contend."""
-    if threads < 1:
-        raise ValueError(f"need threads >= 1, got {threads}")
-    return min(threads, os.cpu_count() or 1)
-
-
-def _process_pool(workers: int):
-    """A ProcessPoolExecutor of ``workers`` processes.  Imported here, not at
-    module level: only a multi-worker run needs multiprocessing."""
-    global _peak_workers
-    from concurrent.futures import ProcessPoolExecutor
-    _peak_workers = max(_peak_workers, workers)
-    return ProcessPoolExecutor(max_workers=workers)
 
 
 def pair_count(h: int) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, TextIO
 
-from .core import Tournament, _bits, _canon_search, _pool_size, _process_pool, pair_count
+from .core import Tournament, _bits, _canon_search, pair_count
 
 __all__ = [
     "TournamentCatalog",
@@ -69,6 +69,27 @@ class TournamentCatalog:
 
     def __iter__(self):
         return iter(self.items)
+
+
+# The largest process pool this process started, reported by `tourlab --stats`.
+_peak_workers = 1
+
+
+def _pool_size(threads: int) -> int:
+    """Workers for a ``threads`` request: at most one per CPU, since output
+    never depends on the count and more processes would only contend."""
+    if threads < 1:
+        raise ValueError(f"need threads >= 1, got {threads}")
+    return min(threads, os.cpu_count() or 1)
+
+
+def _process_pool(workers: int):
+    """A ProcessPoolExecutor of ``workers`` processes.  Imported here, not at
+    module level: only a multi-worker run needs multiprocessing."""
+    global _peak_workers
+    from concurrent.futures import ProcessPoolExecutor
+    _peak_workers = max(_peak_workers, workers)
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def _extend_all(h: int, parents: list[str]) -> tuple[set[int], int]:

@@ -18,9 +18,10 @@ already forces B(H,x) > d(H).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Context
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import ceil, factorial, floor, isqrt
 
 from .core import Tournament, pair_count
 
@@ -181,15 +182,16 @@ class _SqrtLogOver(CertifiedValue):
     h: int
 
     def bounds(self, precision: int) -> tuple[Fraction, Fraction]:
-        import mpmath  # here, not at module level: only certified bounds need it
-        ctx = mpmath.iv
-        old = ctx.prec
-        try:
-            ctx.prec = precision
-            value = ctx.sqrt(ctx.log(self.h) / self.h)
-        finally:
-            ctx.prec = old
-        return tuple(Fraction(*mpmath.libmp.to_rational(raw)) for raw in value._mpi_)
+        # Context.ln is correctly rounded, so ln h lies strictly between the
+        # neighbours of its result; at 0.30103 p + 2 digits their gap, carried
+        # through the square root, is below 2^-p
+        ctx = Context(prec=precision * 30103 // 100000 + 2)
+        ln = ctx.ln(self.h)
+        unit = 1 << precision
+        # x^2 outward in units of 4^-p, then x outward in units of 2^-p
+        low = floor(Fraction(ctx.next_minus(ln)) * unit * unit / self.h)
+        high = ceil(Fraction(ctx.next_plus(ln)) * unit * unit / self.h)
+        return Fraction(isqrt(low), unit), Fraction(isqrt(high - 1) + 1, unit)
 
 
 def sqrt_log_over(h: int) -> CertifiedValue:
@@ -200,44 +202,30 @@ def sqrt_log_over(h: int) -> CertifiedValue:
     return _SqrtLogOver(h)
 
 
-def _lhs_bounds(fwd: int, bwd: int, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    # (1+2x)^(f-b) increases and (1-4x^2)^b decreases on 0 <= x < 1/2
-    lower = (1 + 2 * lo) ** (fwd - bwd) * (1 - 4 * hi * hi) ** bwd
-    upper = (1 + 2 * hi) ** (fwd - bwd) * (1 - 4 * lo * lo) ** bwd
-    return lower, upper
-
-
 def fas_dominance_condition(
     h: int, a: int, x: Fraction | CertifiedValue, max_precision: int = 1 << 14
 ) -> bool:
     """True iff (1+2x)^(f-b) (1-4x^2)^b > h! with f = C(h,2)-a, b = a.
 
-    Rational x is evaluated exactly.  A CertifiedValue (irrational) x is
-    evaluated through rational interval bounds with escalating precision;
-    an exact tie would exhaust precision and raise InconclusiveAtPrecision,
-    which cannot happen for irrational x.
+    x enters through rational bounds [lo, hi] at escalating precision.  A
+    rational x is its own bracket and is decided in the first pass; an
+    irrational CertifiedValue is narrowed until its bracket separates the two
+    sides, which only an exact tie would prevent (InconclusiveAtPrecision).
     """
     m = pair_count(h)
     if h < 1 or a < 0 or 2 * a > m:
         raise BadParameters(f"need 0 <= a <= C(h,2)/2 = {Fraction(m, 2)}, got a={a}")
     fwd, bwd = m - a, a
     rhs = factorial(h)
-    if isinstance(x, CertifiedValue):
-        precision = 64
-        while precision <= max_precision:
-            lo, hi = x.bounds(precision)
-            if not 0 < lo <= hi < Fraction(1, 2):
-                raise BadParameters(f"certified x not in (0, 1/2): [{lo}, {hi}]")
-            lower, upper = _lhs_bounds(fwd, bwd, lo, hi)
-            if lower > rhs:
-                return True
-            if upper <= rhs:
-                return False
-            precision *= 2
-        raise InconclusiveAtPrecision(
-            f"could not separate at {max_precision} bits (h={h}, a={a})"
-        )
-    x = Fraction(x)
-    if not 0 < x < Fraction(1, 2):
-        raise BadParameters(f"x must lie in (0, 1/2), got {x}")
-    return (1 + 2 * x) ** (fwd - bwd) * (1 - 4 * x * x) ** bwd > rhs
+    precision = 64
+    while precision <= max_precision:
+        lo, hi = x.bounds(precision) if isinstance(x, CertifiedValue) else (Fraction(x),) * 2
+        if not 0 < lo <= hi < Fraction(1, 2):
+            raise BadParameters(f"x must lie in (0, 1/2), got [{lo}, {hi}]")
+        # (1+2x)^(f-b) increases and (1-4x^2)^b decreases on 0 <= x < 1/2
+        if (1 + 2 * lo) ** (fwd - bwd) * (1 - 4 * hi * hi) ** bwd > rhs:
+            return True
+        if (1 + 2 * hi) ** (fwd - bwd) * (1 - 4 * lo * lo) ** bwd <= rhs:
+            return False
+        precision *= 2
+    raise InconclusiveAtPrecision(f"could not separate at {max_precision} bits (h={h}, a={a})")

@@ -1,6 +1,6 @@
 """Independent brute-force references the fast implementations are tested
-against.  Everything here enumerates permutations directly and must stay
-free of the subset-DP / branch-and-bound code paths it checks."""
+against.  Everything here enumerates permutations or sums series directly
+and must stay free of the code paths it checks."""
 
 from __future__ import annotations
 
@@ -109,3 +109,23 @@ def brute_density(g, pattern: Tournament) -> Fraction:
         if brute_isomorphic(induced(g, subset), pattern):
             hits += 1
     return Fraction(hits, total)
+
+
+def exp_bounds(y: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+    """Rationals lo <= e^y <= hi for y >= 0, from the Taylor partial sum of
+    sum_k y^k/k!, each term rounded down (lo) or up (hi) to a multiple of
+    2^-bits, and in hi the geometric tail bound: past a term t_N with
+    N + 1 > y, the rest is at most t_N * y / (N + 1 - y).  Rounding adds at
+    most (N + 1) e^y units of 2^-bits to hi - lo, so give bits a margin."""
+    n, d = y.numerator, y.denominator
+    scale = 1 << bits
+    term_lo = term_hi = sum_lo = sum_hi = scale  # k = 0
+    k = 0
+    while term_hi > 1 or (k + 1) * d < 2 * n:  # stop once the tail is at most one unit
+        k += 1
+        term_lo = term_lo * n // (k * d)
+        term_hi = -(-term_hi * n // (k * d))
+        sum_lo += term_lo
+        sum_hi += term_hi
+    tail = -(-term_hi * n // ((k + 1) * d - n))
+    return Fraction(sum_lo, scale), Fraction(sum_hi + tail, scale)

@@ -389,7 +389,7 @@ class TestStats:
         assert stats["canon_searches"] == 12  # warm cache: one per classified class
         assert stats["dp_entries"] == 35  # distinct induced codes of the 12 classes
         assert "canon_cache" not in stats
-        assert set(stats["loaded"]) == {"numpy", "mpmath"}
+        assert set(stats["loaded"]) == {"numpy"}
 
     def test_stats_line_on_failure(self, run):
         code, out = run("enumerate", "--h", "9", "--stats")
@@ -499,3 +499,29 @@ class TestConfigFile:
     def test_unreadable_config(self, run):
         code, _ = run("classify", "--h", "3", "--config", "missing.json")
         assert code == 2
+
+    @pytest.mark.parametrize("argv, entries, expected_code, expected_text", [
+        pytest.param(["classify"], {"h": 5.5}, 2, "argument --h: invalid int value: '5.5'",
+                     id="float-h"),
+        pytest.param(["density", "--graph", "g.txt", "--pattern", "T3"], {"mode": "bogus"}, 2,
+                     "argument --mode: invalid choice: 'bogus'", id="bad-mode"),
+        pytest.param(["dominance-check", "--graph", "g.txt"], {"h": 4, "x": 0.1}, 0,
+                     "h=4 x=1/10 ", id="float-x-read-as-decimal"),
+        pytest.param(["classify"], {"h": 3, "no_such_key": 1}, 2,
+                     "unrecognized arguments: --no-such-key=1", id="unknown-key"),
+        pytest.param(["classify"], {"h": 3, "stats": True, "allow_long": False, "seed": None},
+                     0, '"command": "classify"', id="true-false-null"),
+    ])
+    def test_config_entries_are_parsed_as_flags(
+        self, run, capsys, tmp_path, argv, entries, expected_code, expected_text
+    ):
+        run("construct", "--kind", "tnp", "--n", "12", "--p", "1/2", "--seed", "1",
+            "--out", "g.txt")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(entries))
+        try:
+            code, out = run(*argv, "--config", str(config))
+            text = out + run.stderr
+        except SystemExit as exc:  # argparse rejects the value
+            code, text = exc.code, capsys.readouterr().err
+        assert code == expected_code and expected_text in text

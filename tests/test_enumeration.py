@@ -133,12 +133,12 @@ class _InlinePool:
 def test_pool_size_is_capped_at_cpu_count(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(core, "_peak_workers", 1)
+    monkeypatch.setattr(enumeration, "_peak_workers", 1)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     catalog = enumerate_tournaments(6, threads=64)
     assert catalog == enumerate_tournaments(6)
     assert _InlinePool.sizes and set(_InlinePool.sizes) == {2}
-    assert core._peak_workers == 2
+    assert enumeration._peak_workers == 2
 
 
 @pytest.mark.parametrize("threads", [0, -2])

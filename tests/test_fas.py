@@ -179,6 +179,16 @@ class TestDominanceCondition:
         # h=100: a = floor(C(100,2)/2 - 100^1.5 sqrt(ln 100)) = 328
         assert fas_dominance_condition(100, 328, sqrt_log_over(100)) is True
 
+    @pytest.mark.parametrize("precision", [64, 1024])
+    @pytest.mark.parametrize("h", [9, 12, 30, 100, 10**6])
+    def test_sqrt_log_over_brackets_the_root(self, h, precision):
+        # x = sqrt(ln(h)/h) is the root of e^(h x^2) = h
+        lo, hi = sqrt_log_over(h).bounds(precision)
+        bits = precision + 64
+        assert oracles.exp_bounds(h * lo * lo, bits)[1] < h
+        assert h < oracles.exp_bounds(h * hi * hi, bits)[0]
+        assert 0 < hi - lo <= Fraction(2, 1 << precision)
+
     def test_certified_false_case(self):
         assert fas_dominance_condition(12, 30, sqrt_log_over(12)) is False
 

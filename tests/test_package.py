@@ -45,6 +45,13 @@ def test_catalog_commands_load_neither_numpy_nor_mpmath(tmp_path, command):
     assert not {"numpy", "mpmath", "resource"} & imported
 
 
+def test_certified_bounds_run_without_mpmath(tmp_path):
+    code = ("import sys; sys.modules['mpmath'] = None; "
+            "from tourlab.fas import fas_dominance_condition as check, sqrt_log_over; "
+            "print(check(30, 0, sqrt_log_over(30)), check(12, 30, sqrt_log_over(12)))")
+    assert _python("-c", code, cwd=tmp_path).stdout == "True False\n"
+
+
 def test_every_public_name_is_its_home_module_object():
     for name in tourlab.__all__:
         value = getattr(tourlab, name)
