@@ -8,10 +8,10 @@ stderr.  Every run logs its resolved configuration to stderr; stdout and
 output files are deterministic given the configuration, including across
 --threads settings.
 
-Tables are written one row at a time, as each class is classified.  An
---out file is written through a temporary file beside it and appears only
-once every row is written; stdout, in contrast, may hold the rows written
-before an error stopped the command.
+Tables are written one row at a time, as each class is classified.  Every
+--out file, construct's graph file too, is written through a temporary file
+beside it and appears only once it is whole; stdout, in contrast, may hold
+the rows written before an error stopped the command.
 
 Exit codes: 0 success, 2 bad arguments, 3 resource guard tripped,
 4 internal assertion.
@@ -19,9 +19,11 @@ Exit codes: 0 success, 2 bad arguments, 3 resource guard tripped,
 --threads caps the worker processes of enumeration, the one stage they
 pay for; classification runs in this process, record by record.
 
---config names a JSON object of flags, keyed like the logged configuration,
-parsed before the command line's own flags, which win: true is a bare flag,
-false and null are left out, and an unknown key or a bad value exits 2.
+--config names a JSON object of flags, keyed like the logged configuration.
+The command line is parsed once to find it, as any flag is found (so the
+last --config wins), then again with the file's flags placed before its
+own, which win: true is a bare flag, false and null are left out, and an
+unknown key or a bad value exits 2.
 
 With --stats, one JSON line goes to stderr when the command ends, whether
 it succeeds or fails: the wall time of each stage (less the stages that
@@ -438,6 +440,18 @@ def _add_common(sub, cache: bool = True) -> None:
                          help="catalog cache directory (env TOURLAB_CACHE overrides)")
 
 
+def _add_census(sub) -> None:
+    """The host, census and output flags of density and dominance-check,
+    then the common flags."""
+    sub.add_argument("--graph")
+    sub.add_argument("--mode", choices=("exact", "mc"), default="exact")
+    sub.add_argument("--samples", type=int, default=None)
+    sub.add_argument("--seed", type=int, default=None)
+    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+    sub.add_argument("--out", default=None)
+    _add_common(sub)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tourlab", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
@@ -475,43 +489,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_construct)
 
     p = commands.add_parser("density", help="measure pattern densities in a graph file")
-    p.add_argument("--graph")
     p.add_argument("--pattern", help="'T<h>', 'C3', 'all', or a file")
     p.add_argument("--h", type=int, default=None)
-    p.add_argument("--mode", choices=("exact", "mc"), default="exact")
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--beta", type=_fraction, default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None)
-    _add_common(p)
+    _add_census(p)
     p.set_defaults(func=_cmd_density)
 
     p = commands.add_parser(
         "dominance-check", help="measure the F(h,x) family against a graph file")
-    p.add_argument("--graph")
     p.add_argument("--h", type=int)
     p.add_argument("--x", type=_fraction)
     p.add_argument("--beta", type=_fraction, default=None,
                    help="margin factor; default: half the exact bias margin")
-    p.add_argument("--mode", choices=("exact", "mc"), default="exact")
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None)
-    _add_common(p)
+    _add_census(p)
     p.set_defaults(func=_cmd_dominance_check)
 
     return parser
-
-
-def _extract_config_path(argv: list[str]) -> str | None:
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if token.startswith("--config="):
-            return token.split("=", 1)[1]
-    return None
 
 
 def _config_flags(path: str) -> list[str]:
@@ -531,16 +524,16 @@ def _config_flags(path: str) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    config_path = _extract_config_path(argv)
-    if config_path:
-        try:
-            # after the command name and before the user's flags, which win
-            argv[1:1] = _config_flags(config_path)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read config {config_path}: {exc}", file=sys.stderr)
-            return 2
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.config:
+        try:
+            # after the command name and before the user's flags, which win
+            argv[1:1] = _config_flags(args.config)
+        except (OSError, ValueError) as exc:
+            print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
+            return 2
+        args = parser.parse_args(argv)
     _log_config(args)
     stats = RunStats()
     code = None

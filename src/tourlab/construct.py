@@ -23,6 +23,7 @@ from typing import Any
 import numpy as np
 
 from .core import PackingFailed, Tournament, pair_count
+from .enumeration import _replacing
 
 __all__ = [
     "BigTournament",
@@ -116,7 +117,9 @@ class BigTournament:
         return cls(n=n, adj=_from_pair_bits(n, arr), provenance=provenance)
 
     def save(self, path: Path | str) -> None:
-        Path(path).write_text(self.to_text())
+        """Write the text form; ``path`` is replaced only once it is whole."""
+        with _replacing(Path(path)) as stream:
+            stream.write(self.to_text())
 
     @classmethod
     def load(cls, path: Path | str) -> "BigTournament":

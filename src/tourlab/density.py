@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .bias import BiasPolynomial, _typical, bias_polynomial
+from .bias import BiasPolynomial, _check_x, _typical, bias_polynomial
 from .core import (
     CanonicalForm, TooLarge, Tournament, _bits, _canonical, canonical_form, pair_count,
     pair_index,
@@ -334,7 +334,8 @@ def dominance_report(
 
 
 def bias_margin(patterns: list[Tournament], x: Fraction) -> Fraction:
-    """The exact dominance margin min B(H,x)/d(H) - 1 over the patterns.
+    """The exact dominance margin min B(H,x)/d(H) - 1 over the patterns, at
+    a bias 0 < x < 1/2 (else XOutOfRange, as in ``in_F``).
 
     Positive exactly when every pattern satisfies B(H,x) > d(H); the
     natural beta to demand of a construction targeting these patterns.
@@ -345,5 +346,5 @@ def bias_margin(patterns: list[Tournament], x: Fraction) -> Fraction:
 
 
 def _margin(biases: list[BiasPolynomial], x: Fraction) -> Fraction:
-    x = Fraction(x)
+    x = _check_x(x)
     return min(b.evaluate(x) / b.constant - 1 for b in biases)

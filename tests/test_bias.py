@@ -104,6 +104,13 @@ class TestBiasPolynomial:
             (4, Fraction(6)), (6, Fraction(7)), (8, Fraction(2)),
         )
 
+    def test_coeff(self):
+        bias = bias_polynomial(cyclic3())
+        assert bias.coeff(0) == bias.constant == Fraction(1, 4)
+        assert bias.coeff(2) == -1
+        assert bias.coeff(4) == 0  # beyond the degree
+        assert bias.coeff(1) == 0  # B(H,x) is even in x
+
     @pytest.mark.parametrize("h", [3, 4])
     def test_matches_permutation_sum_expansion(self, catalogs, h):
         for t in catalogs[h]:

@@ -151,6 +151,18 @@ class TestConstructAndDensity:
         assert (tmp_path / "again.txt").read_text() == out_file.read_text()
         assert g.provenance["seed"] == 7
 
+    def test_failed_save_keeps_previous_file(self, run, tmp_path, monkeypatch):
+        argv = ("construct", "--kind", "tnp", "--n", "12", "--p", "1/2", "--out", "g.txt")
+        run(*argv, "--seed", "1")
+        before = (tmp_path / "g.txt").read_bytes()
+        real = BigTournament.to_text
+        # a lone surrogate cannot be encoded, so the write fails inside the file
+        monkeypatch.setattr(BigTournament, "to_text", lambda g: real(g) + "\udc80")
+        code, out = run(*argv, "--seed", "2")
+        assert (code, out) == (2, "")
+        assert (tmp_path / "g.txt").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt"]
+
     def test_density_named_pattern(self, run, tmp_path):
         out_file = tmp_path / "g.txt"
         run("construct", "--kind", "tnp", "--n", "25", "--p", "1/1",
@@ -499,6 +511,20 @@ class TestConfigFile:
     def test_unreadable_config(self, run):
         code, _ = run("classify", "--h", "3", "--config", "missing.json")
         assert code == 2
+
+    def test_abbreviated_flag(self, run, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"h": 4}))
+        code, out = run("classify", "--conf", str(config))
+        assert (code, out) == run("classify", "--config", str(config))
+        assert out.startswith("h=4 ")
+
+    def test_last_config_wins(self, run, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"h": 4}))
+        code, _ = run("classify", "--config", str(config), "--config", "missing.json")
+        assert code == 2
+        assert run.stderr.splitlines()[-1].startswith("error: cannot read config missing.json:")
 
     @pytest.mark.parametrize("argv, entries, expected_code, expected_text", [
         pytest.param(["classify"], {"h": 5.5}, 2, "argument --h: invalid int value: '5.5'",

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from tourlab import core, density
-from tourlab.bias import density_poly_p
+from tourlab.bias import XOutOfRange, density_poly_p
 from tourlab.construct import build_tnp
 from tourlab.core import Tournament, aut_size, canonical_form, cyclic3, pair_count, transitive
 from tourlab.density import (
@@ -288,3 +288,9 @@ class TestBiasMargin:
         margin = bias_margin([transitive(3), cyclic3()], Fraction(1, 10))
         # C3 is the worse member: B-d = -x^2 < 0
         assert margin == Fraction(-1, 100) / Fraction(1, 4)
+
+    @pytest.mark.parametrize("x", [Fraction(1), Fraction(0), Fraction(1, 2), Fraction(-1, 3)])
+    def test_x_outside_open_interval(self, x):
+        # the bias range of in_F: 0 < x < 1/2
+        with pytest.raises(XOutOfRange):
+            bias_margin([transitive(4)], x)
