@@ -8,10 +8,11 @@ stderr.  Every run logs its resolved configuration to stderr; stdout and
 output files are deterministic given the configuration, including across
 --threads settings.
 
-Tables are written one row at a time, as each class is classified.  Every
---out file, construct's graph file too, is written through a temporary file
-beside it and appears only once it is whole; stdout, in contrast, may hold
-the rows written before an error stopped the command.
+Every table is written by _write_rows, one row at a time, as each class is
+classified.  Every --out file, construct's graph file too, is written
+through a temporary file beside it and appears only once it is whole;
+stdout, in contrast, may hold the rows written before an error stopped the
+command.  Tournament files are read by the catalog cache's reader.
 
 Exit codes: 0 success, 2 bad arguments, 3 resource guard tripped,
 4 internal assertion.
@@ -44,12 +45,11 @@ import csv
 import json
 import os
 import sys
-from contextlib import contextmanager
-from dataclasses import dataclass
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator
 
 from . import core, enumeration, fas
 from .bias import (
@@ -59,10 +59,11 @@ from .bias import (
     _check_x,
     _classified,
 )
-from .core import PackingFailed, TooLarge, Tournament, cyclic3, parse, transitive
+from .core import PackingFailed, TooLarge, Tournament, cyclic3, transitive
 from .enumeration import (
     TournamentCatalog,
     Unsupported,
+    _read_tournaments,
     _replacing,
     _write_cache,
     load_or_enumerate,
@@ -118,59 +119,36 @@ def _named_patterns(selector: str, h_hint: int | None) -> list[Tournament]:
         return [cyclic3()]
     if selector.startswith("T") and selector[1:].isdigit():
         return [transitive(int(selector[1:]))]
-    return _read_pattern_file(Path(selector), h_hint)
+    return _read_tournaments(Path(selector), h_hint)
 
 
-def _read_pattern_file(path: Path, h_hint: int | None) -> list[Tournament]:
-    lines = [line for line in path.read_text().splitlines() if line.strip()]
-    if lines and lines[0].startswith("h="):
-        h_hint = int(lines[0][2:])
-        lines = lines[1:]
-    if h_hint is None:
-        raise ValueError(f"{path} has no 'h=<k>' header; pass --h")
-    return [parse(line, h_hint) for line in lines]
-
-
-@dataclass(frozen=True)
-class Emitter:
-    """Uniform row dicts, from any iterable, written as CSV or JSON one row
-    at a time: the bytes are those of the whole list rendered at once."""
-
-    fieldnames: list[str]
-    rows: Iterable[dict]
-
-    def write(self, fmt: str, stream: TextIO) -> None:
+def _write_rows(fieldnames: list[str], rows: Iterable[dict], fmt: str, out: str | None) -> None:
+    """Uniform row dicts, from any iterable, as CSV or JSON, one row at a
+    time, to the --out file, which appears only once all are written, or to
+    stdout as they come: the bytes are those of the whole list rendered at
+    once."""
+    with (_replacing(Path(out)) if out else nullcontext(sys.stdout)) as stream:
         if fmt == "csv":
-            writer = csv.DictWriter(stream, fieldnames=self.fieldnames, lineterminator="\n")
+            writer = csv.DictWriter(stream, fieldnames=fieldnames, lineterminator="\n")
             writer.writeheader()
-            writer.writerows(self.rows)
+            writer.writerows(rows)
             return
         # json.dumps(rows, indent=2, sort_keys=True), one row at a time
         opening = "["
-        for row in self.rows:
+        for row in rows:
             stream.write(opening + "\n  "
                          + json.dumps(row, indent=2, sort_keys=True).replace("\n", "\n  "))
             opening = ","
         stream.write("[]\n" if opening == "[" else "\n]\n")
 
 
-def _write_output(emitter: Emitter, fmt: str, out: str | None) -> None:
-    """The rows to the --out file, which appears only once all are written,
-    or to stdout as they come."""
-    if out:
-        with _replacing(Path(out)) as stream:
-            emitter.write(fmt, stream)
-    else:
-        emitter.write(fmt, sys.stdout)
-
-
 def _classification_rows(
     records: Iterable[ClassificationRecord], with_fas_extras: bool
-) -> Emitter:
+) -> tuple[list[str], Iterator[dict]]:
     names = ["h", "canon", "aut", "d_num", "d_den", "fas", "in_Bh", "coeffs"]
     if with_fas_extras:
         names += ["max_forward", "witness"]
-    return Emitter(names, (_classification_row(rec, with_fas_extras) for rec in records))
+    return names, (_classification_row(rec, with_fas_extras) for rec in records)
 
 
 def _classification_row(rec: ClassificationRecord, with_fas_extras: bool) -> dict:
@@ -190,7 +168,7 @@ def _classification_row(rec: ClassificationRecord, with_fas_extras: bool) -> dic
     return row
 
 
-def _density_rows(reports) -> Emitter:
+def _density_rows(reports) -> tuple[list[str], list[dict]]:
     exact = all(r.mode == "exact" for r in reports)
     names = ["pattern_canon", "n", "mode", "samples"]
     names += ["estimate_num", "estimate_den"] if exact else ["estimate", "stderr"]
@@ -215,7 +193,7 @@ def _density_rows(reports) -> Emitter:
             row["stderr"] = repr(r.stderr)
             row["margin"] = "" if r.margin is None else repr(r.margin)
         rows.append(row)
-    return Emitter(names, rows)
+    return names, rows
 
 
 def _log_config(args) -> None:
@@ -332,10 +310,10 @@ def _cmd_enumerate(args, stats: RunStats) -> int:
 
 def _cmd_table(args, stats: RunStats) -> int:
     """bias-table, and fas-table with the max_forward and witness columns."""
-    emitter = _classification_rows(_records(args, stats),
-                                   with_fas_extras=args.command == "fas-table")
+    names, rows = _classification_rows(_records(args, stats),
+                                       with_fas_extras=args.command == "fas-table")
     with stats.stage("output"):
-        _write_output(emitter, args.format, args.out)
+        _write_rows(names, rows, args.format, args.out)
     return 0
 
 
@@ -366,7 +344,7 @@ def _cmd_construct(args, stats: RunStats) -> int:
             g = build_transversal(args.n, args.h, patterns[0], args.seed)
         else:
             _require(args, "family")
-            family = _read_pattern_file(Path(args.family), args.h)
+            family = _read_tournaments(Path(args.family), args.h)
             g = build_blowup(family, args.n, args.seed)
     with stats.stage("output"):
         g.save(args.out)
@@ -390,7 +368,7 @@ def _census(args, stats: RunStats, g, patterns: list[Tournament], beta: Fraction
             patterns, g, beta, mode=_MODES[args.mode], samples=args.samples, seed=args.seed
         )
     with stats.stage("output"):
-        _write_output(_density_rows(reports), args.format, args.out)
+        _write_rows(*_density_rows(reports), args.format, args.out)
     return reports
 
 

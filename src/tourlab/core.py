@@ -64,9 +64,9 @@ class SizeMismatch(ValueError):
 
 
 class TooLarge(ValueError):
-    """Exact mode would iterate more than density.EXACT_SUBSET_GUARD subsets,
-    or Monte Carlo would draw more than density.MC_DRAW_GUARD h-tuples per
-    kept sample."""
+    """Exact mode would iterate more than density.EXACT_SUBSET_GUARD subsets
+    (10^6 for h > 7), or Monte Carlo would draw more than
+    density.MC_DRAW_GUARD h-tuples per kept sample."""
 
 
 class PackingFailed(RuntimeError):
@@ -89,6 +89,12 @@ def _bits(value: int, m: int) -> str:
 def pair_index(u, v, n: int):
     """Index of the 0-based pair u<v in the fixed pair order (also on int64 arrays)."""
     return u * (n - 1) - u * (u - 1) // 2 + (v - u - 1)
+
+
+def _shift(u, v, h: int):
+    """Bit position of the 0-based pair u<v in a bit string read as a binary
+    number, MSB first (also on int64 arrays): pattern codes and DP keys."""
+    return pair_count(h) - 1 - pair_index(u, v, h)
 
 
 @dataclass(frozen=True)
@@ -120,14 +126,11 @@ class Tournament:
     def out_masks(self) -> tuple[int, ...]:
         """Per-vertex bitmask of out-neighbours."""
         masks = [0] * self.h
-        k = 0
-        for u in range(self.h):
-            for v in range(u + 1, self.h):
-                if self.bits[k] == "1":
-                    masks[u] |= 1 << v
-                else:
-                    masks[v] |= 1 << u
-                k += 1
+        for (u, v), bit in zip(combinations(range(self.h), 2), self.bits):
+            if bit == "1":
+                masks[u] |= 1 << v
+            else:
+                masks[v] |= 1 << u
         return tuple(masks)
 
     def edge_bit(self, u: int, v: int) -> int:
@@ -149,11 +152,13 @@ class Tournament:
         inv = [0] * self.h
         for v, label in enumerate(p):
             inv[label] = v
-        out = []
-        for a in range(self.h):
-            for b in range(a + 1, self.h):
-                out.append("1" if self.has_edge(inv[a], inv[b]) else "0")
-        return Tournament(self.h, "".join(out))
+        return _oriented(self.h, lambda a, b: self.has_edge(inv[a], inv[b]))
+
+
+def _oriented(h: int, edge) -> Tournament:
+    """The h-vertex tournament whose pair u<v is directed u->v exactly where
+    edge(u, v) is true, built in the fixed pair order."""
+    return Tournament(h, "".join("1" if edge(u, v) else "0" for u, v in combinations(range(h), 2)))
 
 
 @dataclass(frozen=True)
@@ -293,10 +298,7 @@ def induced(g, subset: Iterable[int]) -> Tournament:
         raise BadSubset(f"subset has repeated vertices: {sub}")
     if verts[0] < 0 or verts[-1] >= n:
         raise BadSubset(f"subset {verts} out of range for {n} vertices")
-    bits = []
-    for a, b in combinations(verts, 2):
-        bits.append("1" if g.edge_bit(a, b) else "0")
-    return Tournament(len(verts), "".join(bits))
+    return _oriented(len(verts), lambda a, b: g.edge_bit(verts[a], verts[b]))
 
 
 def contains_subtournament(t: Tournament, pattern: Tournament) -> bool:

@@ -10,7 +10,8 @@ the end -- through a dense code -> canonical-code table for h <= 7, by
 canonical search above -- so measuring a whole catalog against one G costs
 a single pass.  Both modes read G through its adjacency matrix ``g.adj``,
 flattened so entry u*n + v is 1 iff u -> v; G's pair order stays in
-``construct``, and ``pair_index`` here serves pattern codes only.
+``construct``, and a pattern code takes each pair's bit at ``core._shift``,
+the one home of that layout.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ import numpy as np
 
 from .bias import BiasPolynomial, _check_x, _typical, bias_polynomial
 from .core import (
-    CanonicalForm, TooLarge, Tournament, _bits, _canonical, canonical_form, pair_count,
-    pair_index,
+    CanonicalForm, TooLarge, Tournament, _bits, _canonical, _shift, canonical_form, pair_count,
 )
 from .construct import BigTournament, check_seed
 
@@ -51,6 +51,9 @@ EXACT_SUBSET_GUARD = 10**8
 MC_DRAW_GUARD = 16
 _CHUNK = 1 << 16  # pattern codes computed per step, exact or Monte Carlo
 _TABLE_MAX_H = 7  # largest h with a dense code -> class table (2^21 entries)
+# Above _TABLE_MAX_H each distinct code costs a canonical search: 58-70 us a
+# subset at h=8, n=14..18 on one core of a 2-vCPU host: a minute at the guard.
+_SEARCH_SUBSET_GUARD = 10**6
 
 
 @dataclass(frozen=True)
@@ -73,11 +76,6 @@ class DensityReport:
     typical: Fraction
     ratio: Fraction | float
     margin: Fraction | float | None
-
-
-def _shift(a: int, b: int, h: int) -> int:
-    """Bit position of pair a<b in a pattern code: MSB-first in pair order."""
-    return pair_count(h) - 1 - pair_index(a, b, h)
 
 
 @lru_cache(maxsize=None)
@@ -189,8 +187,9 @@ def _census_total(
     """The subsets a census request scans: C(n,h) in exact mode, ``samples``
     in Monte-Carlo mode.  Raises before any census work: ValueError for a
     pattern that does not fit the host, an unknown mode, or Monte-Carlo
-    samples or seed missing or out of range; TooLarge past the exact guard,
-    or past the Monte-Carlo draw guard.
+    samples or seed missing or out of range; TooLarge past the exact guard
+    (_SEARCH_SUBSET_GUARD above _TABLE_MAX_H), or past the Monte-Carlo draw
+    guard.
     """
     if mode not in ("exact", "montecarlo"):
         raise ValueError(f"mode must be 'exact' or 'montecarlo', got {mode!r}")
@@ -202,6 +201,12 @@ def _census_total(
             raise TooLarge(
                 f"C({n},{h}) = {total} exceeds the exact-mode guard "
                 f"{EXACT_SUBSET_GUARD}; use Monte Carlo"
+            )
+        if h > _TABLE_MAX_H and total > _SEARCH_SUBSET_GUARD:
+            raise TooLarge(
+                f"C({n},{h}) = {total} exceeds the exact-mode guard "
+                f"{_SEARCH_SUBSET_GUARD} for h > {_TABLE_MAX_H}, where each subset "
+                f"costs up to a canonical search (about 70 us); use Monte Carlo"
             )
         return total
     if samples is None or seed is None:
@@ -289,19 +294,20 @@ def dominance_report(
     seed: int | None = None,
 ) -> list[DensityReport]:
     """One report per pattern against the same G, sharing a single census
-    pass.  The request is checked as a whole (``_census_total``) before any
-    census work.  Each pattern costs one canonical search, for its class and
-    its typical density.  With a beta, ``margin > 0`` means the pattern
-    beats (1+beta) times typical."""
+    pass.  The request is checked once, as a whole (``_census_total``),
+    before any census work.  Each pattern costs one canonical search, for
+    its class and its typical density.  With a beta, ``margin > 0`` means
+    the pattern beats (1+beta) times typical."""
     if not patterns:
         return []
     h = patterns[0].h
     if any(t.h != h for t in patterns):
         raise ValueError("all patterns must share the same vertex count")
-    total = _census_total(g.n, h, mode, samples, seed)
-    if mode == "exact":
+    if mode == "exact":  # density_census checks the request
         census, samples, seed = density_census(g, h), None, None
+        total = comb(g.n, h)
     else:
+        total = _census_total(g.n, h, mode, samples, seed)
         census = _mc_census(g, h, samples, seed)
     reports = []
     for t in patterns:

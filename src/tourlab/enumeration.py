@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, TextIO
 
-from .core import Tournament, _bits, _canon_search, pair_count
+from .core import Tournament, _bits, _canon_search, pair_count, parse
 
 __all__ = [
     "TournamentCatalog",
@@ -187,8 +187,7 @@ def _read_cache(path: Path, h: int) -> TournamentCatalog:
     if hashlib.sha256(data).hexdigest() != _CATALOG_SHA256[h - 1]:
         raise ValueError(f"catalog in {path} is not canonical: its sha256 differs "
                          f"from the pinned h={h} catalog")
-    body = data.decode().splitlines()[1:]
-    return TournamentCatalog(h, tuple(Tournament(h, bits) for bits in body))
+    return TournamentCatalog(h, tuple(_read_tournaments(path, h, data.decode())))
 
 
 @contextmanager
@@ -211,6 +210,21 @@ def _write_cache(path: Path, catalog: TournamentCatalog) -> None:
     lines = [f"h={catalog.h}"] + [t.bits for t in catalog.items]
     with _replacing(path) as stream:
         stream.write("\n".join(lines) + "\n")
+
+
+def _read_tournaments(path: Path, h: int | None, text: str | None = None) -> list[Tournament]:
+    """The tournaments of a file in _write_cache's format, or one written by
+    hand: an optional 'h=<k>' header, which overrides h, then one bit string
+    per line; blank lines are skipped.  ``text`` is the file's contents when
+    the caller has read them already."""
+    lines = [line for line in (path.read_text() if text is None else text).splitlines()
+             if line.strip()]
+    if lines and lines[0].startswith("h="):
+        h = int(lines[0][2:])
+        lines = lines[1:]
+    if h is None:
+        raise ValueError(f"{path} has no 'h=<k>' header; pass --h")
+    return [parse(line, h) for line in lines]
 
 
 def load_or_enumerate(

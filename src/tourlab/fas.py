@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import ceil, factorial, floor, isqrt
 
-from .core import Tournament, pair_count
+from .core import Tournament, _shift, pair_count
 
 __all__ = [
     "FasResult",
@@ -56,6 +56,7 @@ class FasResult:
 
 
 _DIGIT = 32  # packed-histogram digit width: a digit counts orderings, at most 10! < 2^22
+_MAX_PRECISION = 1 << 14  # bits of x past which fas_dominance_condition gives up
 
 # Memo entries the subset DP computed in this process, reported by
 # `tourlab --stats`.
@@ -77,14 +78,13 @@ def _deletions(k: int) -> tuple[tuple[tuple[tuple[int, int], ...], int, int], ..
     of kept bits; the leading 1 moves with the top run.  v's in-neighbours
     are its 0-bits in its own row (pairs (v, j)) and its 1-bits in the rows
     above (pairs (i, v)): popcount((key ^ row) & (row | column))."""
-    bits = [(i, j) for i in range(k) for j in range(i + 1, k)][::-1]  # pair at bit q
     plan = []
     for v in range(k):
-        row = sum(1 << q for q, (i, _) in enumerate(bits) if i == v)
-        column = sum(1 << q for q, (_, j) in enumerate(bits) if j == v)
+        row = sum(1 << _shift(v, j, k) for j in range(v + 1, k))
+        column = sum(1 << _shift(i, v, k) for i in range(v))
         runs: dict[int, int] = {}
         shift = 0
-        for q in range(len(bits) + 1):  # bit len(bits) is the leading 1
+        for q in range(pair_count(k) + 1):  # bit C(k,2) is the leading 1
             if (row | column) >> q & 1:
                 shift += 1
             else:
@@ -202,15 +202,14 @@ def sqrt_log_over(h: int) -> CertifiedValue:
     return _SqrtLogOver(h)
 
 
-def fas_dominance_condition(
-    h: int, a: int, x: Fraction | CertifiedValue, max_precision: int = 1 << 14
-) -> bool:
+def fas_dominance_condition(h: int, a: int, x: Fraction | CertifiedValue) -> bool:
     """True iff (1+2x)^(f-b) (1-4x^2)^b > h! with f = C(h,2)-a, b = a.
 
     x enters through rational bounds [lo, hi] at escalating precision.  A
     rational x is its own bracket and is decided in the first pass; an
     irrational CertifiedValue is narrowed until its bracket separates the two
-    sides, which only an exact tie would prevent (InconclusiveAtPrecision).
+    sides, which only an exact tie would prevent (InconclusiveAtPrecision
+    past _MAX_PRECISION bits).
     """
     m = pair_count(h)
     if h < 1 or a < 0 or 2 * a > m:
@@ -218,7 +217,7 @@ def fas_dominance_condition(
     fwd, bwd = m - a, a
     rhs = factorial(h)
     precision = 64
-    while precision <= max_precision:
+    while precision <= _MAX_PRECISION:
         lo, hi = x.bounds(precision) if isinstance(x, CertifiedValue) else (Fraction(x),) * 2
         if not 0 < lo <= hi < Fraction(1, 2):
             raise BadParameters(f"x must lie in (0, 1/2), got [{lo}, {hi}]")
@@ -228,4 +227,4 @@ def fas_dominance_condition(
         if (1 + 2 * hi) ** (fwd - bwd) * (1 - 4 * lo * lo) ** bwd <= rhs:
             return False
         precision *= 2
-    raise InconclusiveAtPrecision(f"could not separate at {max_precision} bits (h={h}, a={a})")
+    raise InconclusiveAtPrecision(f"could not separate at {_MAX_PRECISION} bits (h={h}, a={a})")

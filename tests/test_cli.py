@@ -239,6 +239,9 @@ BAD_CENSUS_REQUESTS = [
      "need samples >= 1"),
     ("pattern-larger-than-host", "4", ("--h", "5"), 2, "does not fit a host on 4 vertices"),
     ("exact-guard", "200", ("--h", "6"), 3, "exceeds the exact-mode guard"),
+    # C(40,8) = 76,904,685 passes the 10^8 guard, but each subset costs up to a
+    # canonical search above h=7
+    ("exact-search-guard", "40", ("--h", "8"), 3, "guard 1000000 for h > 7"),
     ("mc-draw-guard", "7", ("--h", "6", "--mode", "mc", "--samples", "10", "--seed", "1"), 3,
      "use exact mode: C(7,6) = 7 subsets"),
 ]
@@ -250,6 +253,54 @@ BAD_REQUESTS = [
                    f"x must lie in (0, 1/2), got {x}", id=f"dominance-check-x-{name}")
       for name, x in (("one-half", "1/2"), ("zero", "0"))),
 ]
+
+
+class TestTournamentFiles:
+    """--pattern, --hstar and --family read files in the catalog cache's
+    format, through the cache's own reader."""
+
+    @pytest.fixture()
+    def graph(self, run):
+        run("construct", "--kind", "tnp", "--n", "12", "--p", "1/2",
+            "--seed", "4", "--out", "g.txt")
+        return "g.txt"
+
+    def test_enumerate_out_reads_back(self, run, graph):
+        assert run("enumerate", "--h", "4", "--out", "fam.txt")[0] == 0
+        code, listed = run("density", "--graph", graph, "--pattern", "fam.txt")
+        assert code == 0
+        assert (code, listed) == run("density", "--graph", graph, "--pattern", "all", "--h", "4")
+        code, _ = run("construct", "--kind", "blowup", "--n", "32", "--family", "fam.txt",
+                      "--seed", "1", "--out", "b.txt")
+        assert code == 0, run.stderr
+        family = (run.tmp_path / "fam.txt").read_text().split()[1:]
+        assert BigTournament.load(run.tmp_path / "b.txt").provenance["family"] == family
+
+    @pytest.mark.parametrize("text", ["111111\n", "h=4\n\n111111\n   \n\n"],
+                             ids=["headerless", "blank-lines"])
+    def test_pattern_and_family_files(self, run, graph, text):
+        (run.tmp_path / "p.txt").write_text(text)
+        expected = run("density", "--graph", graph, "--pattern", "T4")
+        assert expected[0] == 0
+        assert run("density", "--graph", graph, "--pattern", "p.txt", "--h", "4") == expected
+        code, _ = run("construct", "--kind", "blowup", "--n", "16", "--family", "p.txt",
+                      "--h", "4", "--seed", "1", "--out", "b.txt")
+        assert code == 0, run.stderr
+        assert BigTournament.load(run.tmp_path / "b.txt").provenance["family"] == ["111111"]
+
+    @pytest.mark.parametrize("argv", [
+        ("density", "--graph", "g.txt", "--pattern", "p.txt"),
+        ("construct", "--kind", "blowup", "--n", "16", "--family", "p.txt",
+         "--seed", "1", "--out", "b.txt"),
+        ("construct", "--kind", "transversal", "--n", "30", "--h", "6", "--hstar", "p.txt",
+         "--seed", "1", "--out", "b.txt"),
+    ], ids=["pattern", "family", "hstar"])
+    def test_missing_header_without_h(self, run, graph, argv):
+        (run.tmp_path / "p.txt").write_text("111111\n")
+        code, out = run(*argv)
+        assert (code, out) == (2, "")
+        assert run.stderr.splitlines()[-1] == "error: p.txt has no 'h=<k>' header; pass --h"
+        assert not (run.tmp_path / "b.txt").exists()
 
 
 class TestErrors:

@@ -13,6 +13,7 @@ from tourlab.core import (
     SizeMismatch,
     Tournament,
     WrongLength,
+    _shift,
     aut_size,
     canonical_form,
     contains_subtournament,
@@ -161,6 +162,20 @@ class TestCanonicalProperties:
     def test_canon_encodes_valid_tournament(self, t):
         canon = canonical_form(t)
         assert canonical_form(canon.tournament()) == canon
+
+
+class TestPairLayout:
+    @given(tournaments(min_h=2, max_h=8))
+    @settings(max_examples=60, deadline=None)
+    def test_shift_reads_the_edge_bit(self, t):
+        for u, v in combinations(range(t.h), 2):
+            assert (int(t.bits, 2) >> _shift(u, v, t.h)) & 1 == t.edge_bit(u, v)
+
+    @given(tournaments(min_h=2, max_h=8))
+    @settings(max_examples=60, deadline=None)
+    def test_out_masks_agree_with_edge_bit(self, t):
+        for u, v in combinations(range(t.h), 2):
+            assert t.has_edge(u, v) == bool(t.edge_bit(u, v)) != t.has_edge(v, u)
 
 
 class TestInduced:

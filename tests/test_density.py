@@ -105,6 +105,48 @@ class TestMonteCarloDrawGuard:
         assert report.estimate == 58 / 500
 
 
+class TestSearchGuard:
+    # above h=7 each distinct code costs a canonical search, so exact mode stops
+    # at 10^6 subsets there: C(24,8) = 735,471 and C(25,8) = 1,081,575
+    @pytest.mark.parametrize("n, h, accepted", [
+        (24, 8, True), (25, 8, False), (40, 8, False), (23, 9, True), (24, 9, False),
+        (40, 7, True), (200, 5, False),  # h <= 7: only the 10^8 guard
+    ])
+    def test_guard_by_pattern_size(self, n, h, accepted):
+        if accepted:
+            assert density._census_total(n, h) == comb(n, h)
+        else:
+            with pytest.raises(TooLarge, match="use Monte Carlo"):
+                density._census_total(n, h)
+
+    def test_refused_before_census_work(self, monkeypatch):
+        def no_codes(*args):
+            raise AssertionError("computed pattern codes past the guard")
+
+        monkeypatch.setattr(density, "_exact_codes", no_codes)
+        g = build_tnp(40, Fraction(1, 2), seed=1)
+        message = "C\\(40,8\\) = 76904685 exceeds the exact-mode guard 1000000 for h > 7"
+        with pytest.raises(TooLarge, match=message):
+            density_census(g, 8)
+        with pytest.raises(TooLarge, match=message):
+            density_exact(g, transitive(8))
+
+    @pytest.mark.parametrize("mode, samples, seed", [("exact", None, None),
+                                                     ("montecarlo", 10, 1)])
+    def test_report_checks_the_request_once(self, monkeypatch, mode, samples, seed):
+        calls = []
+        real = density._census_total
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(density, "_census_total", counted)
+        g = build_tnp(10, Fraction(1, 2), seed=1)
+        dominance_report([transitive(4), Tournament(4, "001001")], g, None, mode, samples, seed)
+        assert len(calls) == 1
+
+
 def _code(t: Tournament) -> int:
     return int(t.bits, 2) if t.bits else 0
 

@@ -11,6 +11,8 @@ from tourlab.core import Tournament, cyclic3, induced, pair_count, reverse, tran
 from tourlab.fas import (
     _DIGIT,
     BadParameters,
+    CertifiedValue,
+    InconclusiveAtPrecision,
     _code,
     _deletions,
     _fas,
@@ -201,8 +203,6 @@ class TestDominanceCondition:
             fas_dominance_condition(4, 1, Fraction(1, 2))
 
     def test_rational_equals_interval_on_boundary_free_input(self):
-        from tourlab.fas import CertifiedValue
-
         class Pinned(CertifiedValue):
             def bounds(self, precision):
                 return Fraction(1, 4), Fraction(1, 4)
@@ -211,6 +211,19 @@ class TestDominanceCondition:
         exact = fas_dominance_condition(3, 0, Fraction(1, 4))
         boxed = fas_dominance_condition(3, 0, Pinned())
         assert exact == boxed
+
+    def test_bounds_that_never_narrow_are_inconclusive(self):
+        asked = []
+
+        class Stuck(CertifiedValue):
+            # at h=4, a=0: (1 + 2 lo)^6 < 24 < (1 + 2 hi)^6, at every precision
+            def bounds(self, precision):
+                asked.append(precision)
+                return Fraction(3, 10), Fraction(9, 20)
+
+        with pytest.raises(InconclusiveAtPrecision, match="at 16384 bits"):
+            fas_dominance_condition(4, 0, Stuck())
+        assert asked == [64 << k for k in range(9)]  # 64, 128, ..., 16384
 
     @pytest.mark.parametrize("x", [Fraction(1, 10), Fraction(1, 5), Fraction(3, 10)])
     def test_sufficiency_implies_membership(self, catalogs, x):
