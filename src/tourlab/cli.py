@@ -12,7 +12,8 @@ Every table is written by _write_rows, one row at a time, as each class is
 classified.  Every --out file, construct's graph file too, is written
 through a temporary file beside it and appears only once it is whole;
 stdout, in contrast, may hold the rows written before an error stopped the
-command.  Tournament files are read by the catalog cache's reader.
+command.  --pattern, --hstar and --family name 'T<k>', 'C3' or a file, read
+by the catalog cache's reader; a size other than a given --h exits 2.
 
 Exit codes: 0 success, 2 bad arguments, 3 resource guard tripped,
 4 internal assertion.
@@ -113,13 +114,18 @@ def _check_long(h: int, args) -> None:
         raise LongRunGuard(f"h={h} is a long computation; pass --allow-long to run it")
 
 
-def _named_patterns(selector: str, h_hint: int | None) -> list[Tournament]:
-    """A built-in name ('T5', 'C3') or a tournament file; no catalog."""
+def _named_patterns(selector: str, h: int | None) -> list[Tournament]:
+    """A built-in name ('T5', 'C3') or a tournament file; no catalog.  An h
+    other than their own size, from the name or an 'h=<k>' header, is an error."""
     if selector == "C3":
-        return [cyclic3()]
-    if selector.startswith("T") and selector[1:].isdigit():
-        return [transitive(int(selector[1:]))]
-    return _read_tournaments(Path(selector), h_hint)
+        patterns = [cyclic3()]
+    elif selector.startswith("T") and selector[1:].isdigit():
+        patterns = [transitive(int(selector[1:]))]
+    else:
+        patterns = _read_tournaments(Path(selector), h)
+    if h is not None and patterns and patterns[0].h != h:
+        raise ValueError(f"{selector} gives {patterns[0].h}-vertex tournaments, but --h is {h}")
+    return patterns
 
 
 def _write_rows(fieldnames: list[str], rows: Iterable[dict], fmt: str, out: str | None) -> None:
@@ -344,8 +350,7 @@ def _cmd_construct(args, stats: RunStats) -> int:
             g = build_transversal(args.n, args.h, patterns[0], args.seed)
         else:
             _require(args, "family")
-            family = _read_tournaments(Path(args.family), args.h)
-            g = build_blowup(family, args.n, args.seed)
+            g = build_blowup(_named_patterns(args.family, args.h), args.n, args.seed)
     with stats.stage("output"):
         g.save(args.out)
     print(f"kind={args.kind} n={g.n} out={args.out}")
@@ -458,9 +463,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--p", type=_fraction, default=None, help="edge probability 'a/b' (tnp)")
     p.add_argument("--h", type=int, default=None,
-                   help="part count (transversal) / pattern size fallback (blowup)")
+                   help="part count (transversal) / pattern size (blowup)")
     p.add_argument("--hstar", default=None, help="pattern name or file (transversal)")
-    p.add_argument("--family", default=None, help="tournament file (blowup)")
+    p.add_argument("--family", default=None, help="'T<k>', 'C3' or a file (blowup)")
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
     _add_common(p, cache=False)

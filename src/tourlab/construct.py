@@ -144,29 +144,22 @@ def _rational_bits(m: int, p: Fraction, seed: int) -> np.ndarray:
     Rejection sampling on raw Philox words: pair t consults stream words
     r*m+t for rounds r = 0, 1, ... until one falls below the largest
     multiple of b, then reduces it mod b.  Rounds past the first occur
-    with probability < b/2^64 per pair.  Each round draws its m words in
-    order, _SLICE at a time, so memory follows the slice, not m.
+    with probability < b/2^64 per pair.  Every round, the first too, draws
+    the m words in order, _SLICE at a time, so memory follows the slice,
+    not m, and decides each pending pair whose word it accepts.
     """
     num, den = p.numerator, p.denominator
     gen = np.random.Generator(np.random.Philox(key=seed))
     top = np.uint64((1 << 64) - (1 << 64) % den - 1)  # the largest word accepted
     out = np.empty(m, dtype=np.uint8)  # a rejected pair's bit is rewritten later
-    pending = None  # pairs still to decide, ascending; None in round 0: all
-    while pending is None or pending.size:
-        rejected = []
+    pending = np.ones(m, dtype=bool)
+    while pending.any():
         for start in range(0, m, _SLICE):
             words = gen.integers(0, 1 << 64, size=min(_SLICE, m - start), dtype=np.uint64)
-            if pending is None:
-                pairs = slice(start, start + words.size)
-                redraw = start + np.flatnonzero(words > top)
-            else:
-                lo, hi = np.searchsorted(pending, (start, start + words.size))
-                pairs = pending[lo:hi]
-                words = words[pairs - start]
-                redraw = pairs[words > top]
-            out[pairs] = words % den < num
-            rejected.append(redraw)
-        pending = np.concatenate(rejected)
+            pairs = slice(start, start + words.size)
+            todo = pending[pairs]  # a view: clearing it clears pending
+            np.copyto(out[pairs], words % den < num, where=todo)
+            todo &= words > top
     return out
 
 
@@ -195,6 +188,13 @@ def build_tnp(n: int, p: Fraction | int, seed: int) -> BigTournament:
     return BigTournament(n=n, adj=adj, provenance=provenance)
 
 
+def _plant(adj: np.ndarray, parts: list[slice], pattern: Tournament) -> None:
+    """Orient each block parts[a] x parts[b], a < b, as the pattern's pair (a, b)."""
+    for a in range(pattern.h):
+        for b in range(a + 1, pattern.h):
+            adj[parts[a], parts[b]] = pattern.edge_bit(a, b)
+
+
 def build_transversal(n: int, h: int, h_star: Tournament, seed: int) -> BigTournament:
     """Transversal construction: classes V_1..V_k of size n/h carry the
     pattern's orientations between them, so every transversal of the first
@@ -209,10 +209,7 @@ def build_transversal(n: int, h: int, h_star: Tournament, seed: int) -> BigTourn
         raise NotMultiple(f"n={n} is not a multiple of h={h}")
     size = n // h
     adj = _from_pair_bits(n, _rational_bits(pair_count(n), Fraction(1, 2), seed))
-    parts = [slice(i * size, (i + 1) * size) for i in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            adj[parts[i], parts[j]] = h_star.edge_bit(i, j)
+    _plant(adj, [slice(i * size, (i + 1) * size) for i in range(k)], h_star)
     provenance = {
         "kind": "transversal",
         "n": n,
@@ -278,10 +275,8 @@ def build_blowup(family: list[Tournament], n: int, seed: int) -> BigTournament:
     copies = _pack_cliques(r, h, k, seed)
     adj = np.triu(np.ones((n, n), dtype=np.uint8), 1)
     parts = [slice(t * size, (t + 1) * size) for t in range(r)]
-    for pattern, verts in zip(family, copies):  # verts ascending: blocks lie above the diagonal
-        for a in range(h):
-            for b in range(a + 1, h):
-                adj[parts[verts[a]], parts[verts[b]]] = pattern.edge_bit(a, b)
+    for pattern, verts in zip(family, copies):  # verts ascend: blocks lie above the diagonal
+        _plant(adj, [parts[v] for v in verts], pattern)
     provenance = {
         "kind": "blowup",
         "n": n,

@@ -142,32 +142,28 @@ def _census(h: int, blocks: Iterable[np.ndarray]) -> dict[str, int]:
 
 
 def _exact_codes(g: BigTournament, h: int) -> Iterator[np.ndarray]:
-    """Pattern codes of all h-subsets of G, in blocks of about _CHUNK.
+    """Pattern codes of all h-subsets of G, in lexicographic subset order,
+    in blocks of fewer than _CHUNK + n.
 
     Sorted vertex prefixes grow one vertex at a time; each new vertex ORs
-    its pairs with the prefix into the code.  Before each step the
-    prefixes are cut into runs whose completions to h-subsets total about
-    _CHUNK, so no array grows with C(n-1, h-1).
+    its pairs with the prefix into the code.  Each level's prefixes are cut
+    into runs by the offset // _CHUNK of their first child, so a run has
+    fewer than _CHUNK + n children and no array grows with C(n-1, h-1).
     """
     n = g.n
     adj = g.adj.ravel()
     shifts = [[_shift(a, k, h) for a in range(k)] for k in range(h)]
-    # completions[k][v + 1]: h-subsets extending a k-prefix whose last vertex is v
-    completions = [
-        np.array([comb(n - 1 - v, h - k) for v in range(-1, n)], dtype=np.int64)
-        for k in range(h)
-    ]
 
     def extend(rows: list[np.ndarray], last: np.ndarray, codes: np.ndarray, k: int):
         # rows[a] holds n times vertex a of each prefix; last its vertex k-1
         if k == h:
             yield codes
             return
-        size = completions[k][last + 1]
-        run = (np.cumsum(size) - size) // _CHUNK
+        children = n - h + k - last  # vertices after last that leave room to finish
+        run = (np.cumsum(children) - children) // _CHUNK
         lo = 0
         for hi in [*(np.flatnonzero(np.diff(run)) + 1).tolist(), len(run)]:
-            choices = n - h + k - last[lo:hi]
+            choices = children[lo:hi]
             parent = np.repeat(np.arange(lo, hi), choices)
             first = np.cumsum(choices) - choices
             vertex = np.arange(len(parent)) - np.repeat(first - last[lo:hi] - 1, choices)

@@ -302,6 +302,31 @@ class TestTournamentFiles:
         assert run.stderr.splitlines()[-1] == "error: p.txt has no 'h=<k>' header; pass --h"
         assert not (run.tmp_path / "b.txt").exists()
 
+    @pytest.mark.parametrize("text, argv, sizes", [
+        ("h=3\n101\n", ("density", "--graph", "g.txt", "--pattern", "p.txt", "--h", "5"),
+         ("p.txt", 3, 5)),
+        ("", ("density", "--graph", "g.txt", "--pattern", "T4", "--h", "6"), ("T4", 4, 6)),
+        ("h=5\n1111111111\n", ("construct", "--kind", "blowup", "--n", "30", "--family",
+                               "p.txt", "--h", "6", "--seed", "1", "--out", "b.txt"),
+         ("p.txt", 5, 6)),
+    ], ids=["pattern-header", "pattern-name", "family-header"])
+    def test_size_mismatch_with_h(self, run, graph, text, argv, sizes):
+        (run.tmp_path / "p.txt").write_text(text)
+        code, out = run(*argv)
+        assert (code, out) == (2, "")
+        name, own, flag = sizes
+        assert run.stderr.splitlines()[-1] == (
+            f"error: {name} gives {own}-vertex tournaments, but --h is {flag}")
+        assert not (run.tmp_path / "b.txt").exists()
+
+    def test_family_by_name(self, run):
+        (run.tmp_path / "p.txt").write_text("111111\n")
+        argv = ("construct", "--kind", "blowup", "--h", "4", "--n", "16", "--seed", "1")
+        assert run(*argv, "--family", "T4", "--out", "named.txt")[0] == 0, run.stderr
+        assert run(*argv, "--family", "p.txt", "--out", "file.txt")[0] == 0, run.stderr
+        named = (run.tmp_path / "named.txt").read_bytes()
+        assert named == (run.tmp_path / "file.txt").read_bytes()
+
 
 class TestErrors:
     def test_missing_required(self, run):

@@ -199,6 +199,19 @@ class TestCensus:
         for bits, count in whole.items():
             assert oracles.brute_density(g, Tournament(5, bits)) == Fraction(count, comb(14, 5))
 
+    def test_small_blocks_in_subset_order(self, monkeypatch):
+        # every 5-subset once, in lexicographic order, and no block past the
+        # memory bound of the prefix cut: a run starts below a multiple of
+        # _CHUNK and its last prefix adds at most n children
+        n, h = 14, 5
+        g = build_tnp(n, Fraction(2, 5), seed=8)
+        monkeypatch.setattr(density, "_CHUNK", 7)
+        blocks = list(density._exact_codes(g, h))
+        assert max(len(block) for block in blocks) < density._CHUNK + n
+        subsets = np.array(list(combinations(range(n), h)))
+        expected = density._subset_patterns(g, subsets)
+        assert np.array_equal(np.concatenate(blocks), expected)
+
     def test_host_spanning_several_blocks(self):
         n, h = 30, 5
         assert comb(n, h) > 2 * density._CHUNK
