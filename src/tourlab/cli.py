@@ -115,15 +115,18 @@ def _check_long(h: int, args) -> None:
 
 
 def _named_patterns(selector: str, h: int | None) -> list[Tournament]:
-    """A built-in name ('T5', 'C3') or a tournament file; no catalog.  An h
-    other than their own size, from the name or an 'h=<k>' header, is an error."""
+    """A built-in name ('T5', 'C3') or a tournament file; no catalog.  A file
+    with no tournament line is an error, and so is an h other than the
+    patterns' own size, from the name or an 'h=<k>' header."""
     if selector == "C3":
         patterns = [cyclic3()]
     elif selector.startswith("T") and selector[1:].isdigit():
         patterns = [transitive(int(selector[1:]))]
     else:
         patterns = _read_tournaments(Path(selector), h)
-    if h is not None and patterns and patterns[0].h != h:
+    if not patterns:
+        raise ValueError(f"{selector} holds no tournament")
+    if h is not None and patterns[0].h != h:
         raise ValueError(f"{selector} gives {patterns[0].h}-vertex tournaments, but --h is {h}")
     return patterns
 

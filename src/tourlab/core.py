@@ -76,6 +76,10 @@ class PackingFailed(RuntimeError):
 # Canonical searches run in this process, reported by `tourlab --stats`.
 _canon_searches = 0
 
+_VERTICES: list[tuple[int, ...]] = [()]  # [mask]: the vertices in mask, ascending
+for _v in range(MAX_VERTICES):
+    _VERTICES += [vertices + (_v,) for vertices in _VERTICES]
+
 
 def pair_count(h: int) -> int:
     return h * (h - 1) // 2
@@ -203,62 +207,66 @@ def reverse(t: Tournament) -> Tournament:
 def _canon_search(h: int, out: tuple[int, ...]) -> tuple[int, int]:
     """Branch-and-bound search for the minimal relabeled bit sequence.
 
-    Vertices are assigned to positions 0,1,... one at a time.  Placing a
-    vertex fixes its row of the bit sequence: remaining vertices that beat
-    it come first (0-bits), then the ones it beats (1-bits), which refines
-    the ordered partition of unplaced vertices.  Rows are emitted in
-    serialization order, so a partial emission is a true prefix and can be
-    pruned against the incumbent.  Returns (canonical bits as an int,
-    number of relabelings attaining it) -- the latter is aut(T).
+    Vertices are assigned to positions 0,1,... one at a time from the first
+    cell of an ordered partition of the unplaced vertices.  Placing v emits
+    its row: in each cell, the vertices that beat v (0-bits), then the ones
+    v beats (1-bits), and splits every cell in that order.  Cell widths do
+    not depend on v, so rows compare as the vectors of winner counts
+    popcount(out[v] & cell), cell by cell.  The candidates are narrowed
+    cell by cell to those with the fewest winners, stopping once one is
+    left, and only these survivors are split and searched, in ascending
+    vertex order; they share the least row.  No larger row needs a visit,
+    and no later survivor is pruned: if the least row passes the check
+    against the incumbent's prefix, the first survivor's subtree leaves an
+    incumbent whose prefix equals it.  Once every cell holds one vertex,
+    the rest of the sequence is forced and is read off in one step.  So
+    the search reaches the leaves, in the same order, of one that tries
+    every vertex of the first cell in row order, and finds the same
+    minimum and the same number of relabelings attaining it.  Returns
+    (canonical bits as an int, that number) -- the latter is aut(T).
+    Needs h <= MAX_VERTICES.
     """
     global _canon_searches
     _canon_searches += 1
-    m = h * (h - 1) // 2
     best: int | None = None
     naut = 0
 
-    def extend(blocks: list[int], prefix: int, length: int, rem: int) -> None:
+    def extend(blocks: list[int], value: int, rem: int) -> None:
         nonlocal best, naut
+        if len(blocks) == rem:  # one vertex a cell: the rest of the rows are forced
+            for i, block in enumerate(blocks):
+                ov = out[block.bit_length() - 1]
+                for later in blocks[i + 1:]:
+                    value = (value << 1) | (ov & later != 0)
+            if best is None or value < best:
+                best, naut = value, 0
+            naut += value == best
+            return
         first = blocks[0]
-        rest = blocks[1:]
-        width = rem - 1
-        cands = []
-        f = first
-        while f:
-            v_bit = f & -f
-            f ^= v_bit
-            v = v_bit.bit_length() - 1
-            ov = out[v]
-            row = 0
-            new_blocks = []
-            for block in (first ^ v_bit, *rest):
-                losers = block & ~ov
+        cands = _VERTICES[first]
+        for block in blocks:
+            if len(cands) == 1:
+                break
+            wins = [(out[v] & block).bit_count() for v in cands]
+            low = min(wins)
+            cands = [v for v, w in zip(cands, wins) if w == low]
+        rem -= 1
+        value <<= rem
+        for v in cands:
+            ov, row, new_blocks = out[v], 0, []
+            blocks[0] = first ^ (1 << v)  # this frame's own list
+            for block in blocks:
                 winners = block & ov
-                nw = winners.bit_count()
-                row = (row << (losers.bit_count() + nw)) | ((1 << nw) - 1)
-                if losers:
-                    new_blocks.append(losers)
+                row = (row << block.bit_count()) | ((1 << winners.bit_count()) - 1)
+                if block != winners:
+                    new_blocks.append(block ^ winners)
                 if winners:
                     new_blocks.append(winners)
-            cands.append((row, new_blocks))
-        cands.sort(key=lambda c: c[0])
+            if best is not None and value | row > best >> (rem * (rem - 1) // 2):
+                return
+            extend(new_blocks, value | row, rem)
 
-        new_length = length + width
-        base = prefix << width
-        for row, new_blocks in cands:
-            value = base | row
-            if best is not None and value > best >> (m - new_length):
-                break  # rows ascend, so every later candidate prunes too
-            if not new_blocks:
-                if best is None or value < best:
-                    best, naut = value, 1
-                elif value == best:
-                    naut += 1
-            else:
-                extend(new_blocks, value, new_length, width)
-
-    full = (1 << h) - 1
-    extend([full], 0, 0, h)
+    extend([(1 << h) - 1], 0, h)
     assert best is not None
     return best, naut
 

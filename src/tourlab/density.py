@@ -51,8 +51,8 @@ EXACT_SUBSET_GUARD = 10**8
 MC_DRAW_GUARD = 16
 _CHUNK = 1 << 16  # pattern codes computed per step, exact or Monte Carlo
 _TABLE_MAX_H = 7  # largest h with a dense code -> class table (2^21 entries)
-# Above _TABLE_MAX_H each distinct code costs a canonical search: 58-70 us a
-# subset at h=8, n=14..18 on one core of a 2-vCPU host: a minute at the guard.
+# Above _TABLE_MAX_H each distinct code costs a canonical search: 45-62 us a
+# subset at h=8, n=14..18 on one core of a 2-vCPU host: under a minute at the guard.
 _SEARCH_SUBSET_GUARD = 10**6
 
 
@@ -202,7 +202,7 @@ def _census_total(
             raise TooLarge(
                 f"C({n},{h}) = {total} exceeds the exact-mode guard "
                 f"{_SEARCH_SUBSET_GUARD} for h > {_TABLE_MAX_H}, where each subset "
-                f"costs up to a canonical search (about 70 us); use Monte Carlo"
+                f"costs up to a canonical search (about 55 us); use Monte Carlo"
             )
         return total
     if samples is None or seed is None:

@@ -132,12 +132,12 @@ def _extend_all(h: int, parents: list[str]) -> tuple[set[int], int]:
 
 def _check_range(h: int) -> None:
     if not 1 <= h <= len(_CATALOG_SHA256):
-        # scaled from h=9 on one thread: fas-table wrote all 191,536 rows in
-        # 59 s (306 us per class; about 1.9x that one level up), peaking at
-        # 125 MB, of which all but the interpreter's 17 MB (the catalog, each
-        # item's cached masks, one block's DP memo) grows 50.8x at h=10
-        cost = (": its 9,733,056 classes would take an estimated 30 minutes to "
-                "enumerate, and about 2 hours and some 6 GB of memory to classify "
+        # scaled from h=9 on one thread, 2 vCPUs: enumerate 20.4 s and fas-table
+        # 69.5 s for all 191,536 rows, 0.58x and 0.88x the runs behind earlier
+        # figures of 30 minutes and 1.6 hours (306 us a class, 1.9x one level up);
+        # all but 17 MB of the 124 MB peak (catalog, masks, DP memo) grows 50.8x
+        cost = (": its 9,733,056 classes would take an estimated 17 minutes to "
+                "enumerate, and about 1.5 hours and some 6 GB of memory to classify "
                 "on one thread") if h == 10 else ""
         raise Unsupported(f"enumeration supports 1 <= h <= 9, got {h}{cost}")
 
