@@ -234,7 +234,7 @@ def _rises_at_zero(bias: BiasPolynomial) -> bool:
 
 def in_F(t: Tournament, x: Fraction) -> bool:
     """True iff B(H,x) > d(H) at the exact rational bias x in (0, 1/2)."""
-    return _beats_typical(bias_polynomial(t), x)
+    return _beats_typical(bias_polynomial(t), _check_x(x))
 
 
 def _check_x(x: Fraction) -> Fraction:
@@ -246,7 +246,8 @@ def _check_x(x: Fraction) -> Fraction:
 
 
 def _beats_typical(bias: BiasPolynomial, x: Fraction) -> bool:
-    return bias.evaluate(_check_x(x)) > bias.constant
+    """B(H,x) > d(H) for an x already checked by ``_check_x``."""
+    return bias.evaluate(x) > bias.constant
 
 
 def _classify_one(t: Tournament, memo: dict[int, int]) -> ClassificationRecord:

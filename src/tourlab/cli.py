@@ -288,9 +288,7 @@ def _catalog(args, stats: RunStats, host=None) -> TournamentCatalog:
     """The --h catalog, read from the cache or enumerated on --threads
     workers.  Given the host graph of a census, the census request is
     checked first, so a bad one exits before any catalog work."""
-    if args.h is None:
-        raise ValueError("pattern 'all' needs --h" if args.command == "density"
-                         else f"{args.command} needs --h")
+    _require(args, "h")
     _check_long(args.h, args)
     if host is not None:
         from .density import _census_total
@@ -384,6 +382,8 @@ def _cmd_density(args, stats: RunStats) -> int:
     _require(args, "graph", "pattern")
     g = _host(args, stats)
     if args.pattern == "all":
+        if args.h is None:
+            raise ValueError("pattern 'all' needs --h")
         patterns = list(_catalog(args, stats, host=g).items)
     else:
         patterns = _named_patterns(args.pattern, args.h)

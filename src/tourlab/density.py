@@ -119,6 +119,10 @@ def _census(h: int, blocks: Iterable[np.ndarray]) -> dict[str, int]:
     Labeled codes are tallied first; each distinct code is mapped to its
     class once, at the end: through the dense table for h <= _TABLE_MAX_H,
     by canonical search above it, where a 2^C(h,2) table does not fit.
+    There one np.unique runs over the codes of the whole request, never
+    block by block: exact censuses of structured hosts repeat codes across
+    blocks, and per-block dedup searched 143,394 codes where this searches
+    79,550 (h=8, tnp n=24 p=9/10 seed 5).
     """
     m = pair_count(h)
     if h <= _TABLE_MAX_H:
@@ -129,13 +133,9 @@ def _census(h: int, blocks: Iterable[np.ndarray]) -> dict[str, int]:
         np.add.at(classes, _canon_table(h), labeled)
         found = np.flatnonzero(classes)
         return {_bits(c, m): n for c, n in zip(found.tolist(), classes[found].tolist())}
-    tally: dict[int, int] = {}
-    for codes in blocks:
-        values, counts = np.unique(codes, return_counts=True)
-        for value, count in zip(values.tolist(), counts.tolist()):
-            tally[value] = tally.get(value, 0) + count
+    values, counts = np.unique(np.concatenate(list(blocks)), return_counts=True)
     census: dict[str, int] = {}
-    for value, count in tally.items():
+    for value, count in zip(values.tolist(), counts.tolist()):
         key = canonical_form(Tournament(h, _bits(value, m))).bits
         census[key] = census.get(key, 0) + count
     return census
@@ -193,17 +193,13 @@ def _census_total(
         raise ValueError(f"pattern size {h} does not fit a host on {n} vertices")
     if mode == "exact":
         total = comb(n, h)
-        if total > EXACT_SUBSET_GUARD:
-            raise TooLarge(
-                f"C({n},{h}) = {total} exceeds the exact-mode guard "
-                f"{EXACT_SUBSET_GUARD}; use Monte Carlo"
-            )
-        if h > _TABLE_MAX_H and total > _SEARCH_SUBSET_GUARD:
-            raise TooLarge(
-                f"C({n},{h}) = {total} exceeds the exact-mode guard "
-                f"{_SEARCH_SUBSET_GUARD} for h > {_TABLE_MAX_H}, where each subset "
-                f"costs up to a canonical search (about 55 us); use Monte Carlo"
-            )
+        search = h > _TABLE_MAX_H
+        guard = _SEARCH_SUBSET_GUARD if search else EXACT_SUBSET_GUARD
+        if total > guard:
+            cost = (f" for h > {_TABLE_MAX_H}, where each subset costs up to a "
+                    f"canonical search (about 55 us)") if search else ""
+            raise TooLarge(f"C({n},{h}) = {total} exceeds the exact-mode guard "
+                           f"{guard}{cost}; use Monte Carlo")
         return total
     if samples is None or seed is None:
         raise ValueError("montecarlo mode needs samples and seed")
@@ -344,9 +340,9 @@ def bias_margin(patterns: list[Tournament], x: Fraction) -> Fraction:
     """
     if not patterns:
         raise ValueError("patterns must be nonempty")
-    return _margin([bias_polynomial(t) for t in patterns], x)
+    return _margin([bias_polynomial(t) for t in patterns], _check_x(x))
 
 
 def _margin(biases: list[BiasPolynomial], x: Fraction) -> Fraction:
-    x = _check_x(x)
+    """min B(H,x)/d(H) - 1 for an x already checked by ``_check_x``."""
     return min(b.evaluate(x) / b.constant - 1 for b in biases)

@@ -230,6 +230,13 @@ class TestConstructAndDensity:
         assert code == 0
         assert "family=1 satisfied=1" in out
 
+    def test_dominance_check_empty_family(self, run):
+        # the one class at h=2 is transitive, with B(H,x) = d(H) = 1 at every x
+        run("construct", "--kind", "tnp", "--n", "8", "--p", "1/2",
+            "--seed", "1", "--out", "g.txt")
+        code, out = run("dominance-check", "--graph", "g.txt", "--h", "2", "--x", "1/10")
+        assert (code, out) == (0, "h=2 x=1/10 family=0 satisfied=0\n")
+
 
 # (id, host vertices, census arguments, exit code, text of the error line)
 BAD_CENSUS_REQUESTS = [
@@ -418,6 +425,25 @@ class TestErrors:
         assert (code, out, calls) == (expected, "", [])
         assert message in run.stderr.splitlines()[-1]
 
+    @pytest.mark.parametrize("argv, message", [
+        (("classify",), "classify needs --h"),
+        (("density", "--graph", "g.txt", "--pattern", "all"), "pattern 'all' needs --h"),
+    ], ids=["classify", "density-all"])
+    def test_catalog_without_h(self, run, argv, message):
+        run("construct", "--kind", "tnp", "--n", "8", "--p", "1/2",
+            "--seed", "1", "--out", "g.txt")
+        code, out = run(*argv)
+        assert (code, out) == (2, "")
+        assert run.stderr.splitlines()[-1] == f"error: {message}"
+
+    def test_hstar_file_with_two_tournaments(self, run, tmp_path):
+        (tmp_path / "f.txt").write_text("h=3\n000\n001\n")
+        code, out = run("construct", "--kind", "transversal", "--n", "24", "--h", "6",
+                        "--hstar", "f.txt", "--seed", "1", "--out", "g.txt")
+        assert (code, out) == (2, "")
+        assert "--hstar must resolve to exactly one tournament" in run.stderr.splitlines()[-1]
+        assert not (tmp_path / "g.txt").exists()
+
     def test_transversal_without_parts(self, run):
         code, out = run("construct", "--kind", "transversal", "--n", "60", "--h", "0",
                         "--hstar", "T5", "--seed", "1", "--out", "g.txt")
@@ -602,6 +628,13 @@ class TestConfigFile:
     def test_unreadable_config(self, run):
         code, _ = run("classify", "--h", "3", "--config", "missing.json")
         assert code == 2
+
+    def test_config_not_an_object(self, run, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps([{"h": 4}]))
+        code, out = run("classify", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert run.stderr.splitlines()[-1].endswith(": expected a JSON object")
 
     def test_abbreviated_flag(self, run, tmp_path):
         config = tmp_path / "cfg.json"

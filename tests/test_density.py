@@ -131,6 +131,14 @@ class TestSearchGuard:
         with pytest.raises(TooLarge, match=message):
             density_exact(g, transitive(8))
 
+    @pytest.mark.parametrize("n, h, guard", [(60, 8, "1000000 for h > 7"),
+                                             (200, 5, "100000000; use Monte Carlo")])
+    def test_message_names_the_binding_guard(self, n, h, guard):
+        # C(60,8) = 2,558,620,845 is past both guards; the one for its h binds
+        message = f"C\\({n},{h}\\) = {comb(n, h)} exceeds the exact-mode guard {guard}"
+        with pytest.raises(TooLarge, match=message):
+            density._census_total(n, h)
+
     @pytest.mark.parametrize("mode, samples, seed", [("exact", None, None),
                                                      ("montecarlo", 10, 1)])
     def test_report_checks_the_request_once(self, monkeypatch, mode, samples, seed):
@@ -219,6 +227,20 @@ class TestCensus:
         subsets = np.array(list(combinations(range(n), h)))
         codes = density._subset_patterns(g, subsets)
         assert density_census(g, h) == density._census(h, [codes])
+
+    def test_one_search_per_distinct_code_across_blocks(self, monkeypatch):
+        # above h=7 the codes of all blocks are deduplicated together: a
+        # code repeated in several blocks costs one canonical search
+        monkeypatch.setattr(density, "_CHUNK", 7)
+        g = build_tnp(10, Fraction(9, 10), seed=1)
+        blocks = list(density._exact_codes(g, 8))
+        codes = np.concatenate(blocks)
+        distinct = len(np.unique(codes))
+        assert sum(len(np.unique(block)) for block in blocks) > distinct
+        before = core._canon_searches
+        census = density_census(g, 8)
+        assert core._canon_searches - before == distinct
+        assert census == density._census(8, [codes])
 
 
 class TestMonteCarlo:
