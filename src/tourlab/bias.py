@@ -15,7 +15,9 @@ factors (1+2x, 1-2x) for B and (p, 1-p) for d: the terms are packed
 big integers at X = 2^D, and the coefficients are read back as the m+1
 signed base-X digits of the sum.  Everything here is exact: coefficients
 are integer numerators over aut(H) * 2^m (B) or aut(H) (d), converted to
-Fraction at the boundary.
+Fraction at the boundary.  Classifying a catalog runs no canonical search,
+since the catalog records aut(H), and builds no Fraction until a caller
+asks for the public records.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
-from .core import CanonicalForm, Tournament, _canonical, aut_size, pair_count
+from .core import CanonicalForm, Tournament, aut_size, pair_count
 from .enumeration import TournamentCatalog
 from .fas import FasResult, _fas, _histogram_counts, _new_memo
 
@@ -176,24 +178,35 @@ def bias_polynomial(t: Tournament) -> BiasPolynomial:
     Odd coefficients must cancel; a nonzero residue raises
     OddCoefficientResidue.
     """
-    return _bias_from_counts(t.h, forward_histogram(t).counts, aut_size(t))
+    aut = aut_size(t)
+    return _bias_polynomial(t.h, aut, _bias_from_counts(t.h, forward_histogram(t).counts, aut))
 
 
-def _bias_from_counts(h: int, counts: tuple[int, ...], aut: int) -> BiasPolynomial:
-    """B(H,x) from N[k] and aut(H): 2^m aut B = sum_k N[k] (1+2x)^k (1-2x)^(m-k)."""
+def _bias_from_counts(h: int, counts: tuple[int, ...], aut: int) -> tuple[int, ...]:
+    """The numerators over aut 2^m of B(H,x)'s coefficients of x^0, x^2, ...,
+    x^(2 floor(m/2)), from N[k]: 2^m aut B = sum_k N[k] (1+2x)^k (1-2x)^(m-k).
+    The first is sum_k N[k] = h!.  aut only enters the message of the
+    OddCoefficientResidue raised for a nonzero odd coefficient."""
     nums = _expand(h, counts, (1, 2), (1, -2))
-    m = pair_count(h)
-    den = aut << m
-    for e in range(1, m + 1, 2):
+    for e in range(1, len(nums), 2):
         if nums[e]:
-            raise OddCoefficientResidue(
-                f"odd coefficient x^{e} = {nums[e]}/{den} for h={h}, histogram {counts}"
-            )
-    coeffs = [(0, Fraction(nums[0], den))]
-    for e in range(2, m + 1, 2):
-        if nums[e]:
-            coeffs.append((e, Fraction(nums[e], den)))
-    return BiasPolynomial(h, tuple(coeffs))
+            raise OddCoefficientResidue(f"odd coefficient x^{e} = {nums[e]}/"
+                                        f"{aut << pair_count(h)} for h={h}, histogram {counts}")
+    return tuple(nums[::2])
+
+
+def _bias_polynomial(h: int, aut: int, nums: tuple[int, ...]) -> BiasPolynomial:
+    """B(H,x) from its even numerators over aut 2^m; zero coefficients are
+    left out, except the constant."""
+    den = aut << pair_count(h)
+    return BiasPolynomial(h, tuple(
+        (2 * i, Fraction(num, den)) for i, num in enumerate(nums) if num or not i))
+
+
+def _rises_at_zero(nums: tuple[int, ...]) -> bool:
+    """The first nonzero even numerator above the constant is positive: the
+    lowest-order nonzero coefficient of B(H,x) - d(H) is."""
+    return next((num for num in nums[1:] if num), 0) > 0
 
 
 def density_poly_p(t: Tournament) -> DensityPolynomialP:
@@ -224,12 +237,7 @@ def in_bias_subset(t: Tournament) -> bool:
     transitive with density 1) and there is no strict local minimum;
     returns False.
     """
-    return _rises_at_zero(bias_polynomial(t))
-
-
-def _rises_at_zero(bias: BiasPolynomial) -> bool:
-    # coeffs[1] is the lowest-order nonzero coefficient of B(H,x) - d(H)
-    return len(bias.coeffs) > 1 and bias.coeffs[1][1] > 0
+    return _rises_at_zero(_bias_from_counts(t.h, forward_histogram(t).counts, aut_size(t)))
 
 
 def in_F(t: Tournament, x: Fraction) -> bool:
@@ -250,36 +258,52 @@ def _beats_typical(bias: BiasPolynomial, x: Fraction) -> bool:
     return bias.evaluate(x) > bias.constant
 
 
-def _classify_one(t: Tournament, memo: dict[int, int]) -> ClassificationRecord:
-    form, aut = _canonical(t)
-    bias = _bias_from_counts(t.h, _histogram_counts(t, memo), aut)
+class _Record(NamedTuple):
+    """One class's classification in integers: B(H,x)'s even numerators over
+    aut 2^m (``_bias_from_counts``) and the feedback arc set."""
+
+    h: int
+    bits: str
+    aut: int
+    nums: tuple[int, ...]
+    fas: FasResult
+
+    @property
+    def in_Bh(self) -> bool:
+        return _rises_at_zero(self.nums)
+
+
+def _public(rec: _Record) -> ClassificationRecord:
+    """The ClassificationRecord of an integer record: the one place that
+    builds its Fractions."""
     return ClassificationRecord(
-        canonical_form=form,
-        aut=aut,
-        typical_density=_typical(t.h, aut),
-        bias=bias,
-        fas=_fas(t, memo),
-        in_Bh=_rises_at_zero(bias),
+        canonical_form=CanonicalForm(rec.h, rec.bits),
+        aut=rec.aut,
+        typical_density=_typical(rec.h, rec.aut),
+        bias=_bias_polynomial(rec.h, rec.aut, rec.nums),
+        fas=rec.fas,
+        in_Bh=rec.in_Bh,
     )
 
 
 def _classified(
     catalog: TournamentCatalog, progress: Callable[[str], None] | None = None
-) -> Iterator[ClassificationRecord]:
-    """One ClassificationRecord per class, in catalog order, yielded as soon
-    as it exists, so a caller that consumes records as they come holds
-    one subset-DP memo.
+) -> Iterator[_Record]:
+    """One integer record per class, in catalog order, yielded as soon as it
+    exists, so a caller that consumes records as they come holds one
+    subset-DP memo.  aut(H) is the catalog's, so no canonical search runs.
 
     Items are classified in blocks of 4096 consecutive classes, each with
     one subset-DP memo: neighbouring canonical forms share most of their
     sub-tournaments.  ``progress`` receives a status line per block.
     """
-    items = catalog.items
+    h, items, auts = catalog.h, catalog.items, catalog.auts
     step = 4096
     for start in range(0, len(items), step):
         memo = _new_memo()
-        for t in items[start : start + step]:
-            yield _classify_one(t, memo)
+        for t, aut in zip(items[start : start + step], auts[start : start + step]):
+            nums = _bias_from_counts(h, _histogram_counts(t, memo), aut)
+            yield _Record(h, t.bits, aut, nums, _fas(t, memo))
         if progress is not None:
             progress(f"classified {min(start + step, len(items))}/{len(items)}")
 
@@ -287,6 +311,6 @@ def _classified(
 def classify_catalog(
     catalog: TournamentCatalog, progress: Callable[[str], None] | None = None
 ) -> list[ClassificationRecord]:
-    """One ClassificationRecord per class, in catalog order: the records of
-    ``_classified`` as a list."""
-    return list(_classified(catalog, progress))
+    """One ClassificationRecord per class, in catalog order, from the
+    records of ``_classified``."""
+    return [_public(rec) for rec in _classified(catalog, progress)]

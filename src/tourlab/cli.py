@@ -19,7 +19,10 @@ Exit codes: 0 success, 2 bad arguments, 3 resource guard tripped,
 4 internal assertion.
 
 --threads caps the worker processes of enumeration, the one stage they
-pay for; classification runs in this process, record by record.
+pay for; classification runs in this process, record by record.  It reads
+aut(H) from the catalog cache, so a table on a warm cache runs 0 canonical
+searches, and rows are formatted from integer numerators: only
+dominance-check builds the Fractions of its classes' bias polynomials.
 
 --config names a JSON object of flags, keyed like the logged configuration.
 The command line is parsed once to find it, as any flag is found (so the
@@ -48,19 +51,14 @@ import os
 import sys
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 from time import perf_counter
 from typing import Iterable, Iterator
 
 from . import core, enumeration, fas
-from .bias import (
-    ClassificationRecord,
-    OddCoefficientResidue,
-    _beats_typical,
-    _check_x,
-    _classified,
-)
-from .core import PackingFailed, TooLarge, Tournament, cyclic3, transitive
+from .bias import OddCoefficientResidue, _beats_typical, _check_x, _classified, _public, _Record
+from .core import PackingFailed, TooLarge, Tournament, cyclic3, pair_count, transitive
 from .enumeration import (
     TournamentCatalog,
     Unsupported,
@@ -96,6 +94,13 @@ def _fraction(text: str) -> Fraction:
 
 def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num/den in lowest terms, for den > 0: Fraction(num, den)'s numerator
+    and denominator."""
+    common = gcd(num, den)
+    return num // common, den // common
 
 
 def _require(args, *names: str) -> None:
@@ -152,7 +157,7 @@ def _write_rows(fieldnames: list[str], rows: Iterable[dict], fmt: str, out: str 
 
 
 def _classification_rows(
-    records: Iterable[ClassificationRecord], with_fas_extras: bool
+    records: Iterable[_Record], with_fas_extras: bool
 ) -> tuple[list[str], Iterator[dict]]:
     names = ["h", "canon", "aut", "d_num", "d_den", "fas", "in_Bh", "coeffs"]
     if with_fas_extras:
@@ -160,16 +165,22 @@ def _classification_rows(
     return names, (_classification_row(rec, with_fas_extras) for rec in records)
 
 
-def _classification_row(rec: ClassificationRecord, with_fas_extras: bool) -> dict:
+def _classification_row(rec: _Record, with_fas_extras: bool) -> dict:
+    """One table row from an integer record; each coefficient is its
+    numerator over aut 2^m in lowest terms, and the typical density is the
+    constant, h!/(aut 2^m)."""
+    den = rec.aut << pair_count(rec.h)
+    terms = [(2 * i, *_reduced(num, den)) for i, num in enumerate(rec.nums) if num or not i]
+    _, d_num, d_den = terms[0]
     row = dict(
-        h=rec.canonical_form.h,
-        canon=rec.canonical_form.bits,
+        h=rec.h,
+        canon=rec.bits,
         aut=rec.aut,
-        d_num=rec.typical_density.numerator,
-        d_den=rec.typical_density.denominator,
+        d_num=d_num,
+        d_den=d_den,
         fas=rec.fas.a,
         in_Bh=int(rec.in_Bh),
-        coeffs=" ".join(f"{e}:{_frac_str(c)}" for e, c in rec.bias.coeffs),
+        coeffs=" ".join(f"{e}:{n}/{d}" for e, n, d in terms),
     )
     if with_fas_extras:
         row["max_forward"] = rec.fas.max_forward
@@ -299,9 +310,10 @@ def _catalog(args, stats: RunStats, host=None) -> TournamentCatalog:
         )
 
 
-def _records(args, stats: RunStats, host=None) -> Iterator[ClassificationRecord]:
-    """One classification record per class of the --h catalog, in catalog
-    order, as each is classified; the catalog is read before this returns."""
+def _records(args, stats: RunStats, host=None) -> Iterator[_Record]:
+    """One integer classification record per class of the --h catalog, in
+    catalog order, as each is classified; the catalog is read before this
+    returns."""
     catalog = _catalog(args, stats, host)
     return stats.timed("classify", _classified(catalog, progress=_progress_logger))
 
@@ -395,7 +407,8 @@ def _cmd_dominance_check(args, stats: RunStats) -> int:
     _require(args, "graph", "h", "x")
     x = _check_x(args.x)
     g = _host(args, stats)
-    members = [r for r in _records(args, stats, host=g) if _beats_typical(r.bias, x)]
+    members = [r for r in map(_public, _records(args, stats, host=g))
+               if _beats_typical(r.bias, x)]
     if not members:
         print(f"h={args.h} x={_frac_str(x)} family=0 satisfied=0")
         return 0

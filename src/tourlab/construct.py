@@ -109,11 +109,13 @@ class BigTournament:
         _check_n(n)
         provenance = json.loads(lines[1])
         bits = "".join(lines[2:])
-        if len(bits) != pair_count(n) or bits.strip("01"):
+        # a non-ASCII character encodes to more than one byte, and every byte
+        # but '0' and '1' maps past 1 (the subtraction wraps below '0')
+        arr = np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")
+        if len(arr) != pair_count(n) or (arr > 1).any():
             raise ValueError(
                 f"expected {pair_count(n)} orientation bits, got {len(bits)}"
             )
-        arr = np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")
         return cls(n=n, adj=_from_pair_bits(n, arr), provenance=provenance)
 
     def save(self, path: Path | str) -> None:

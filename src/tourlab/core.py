@@ -65,8 +65,8 @@ class SizeMismatch(ValueError):
 
 class TooLarge(ValueError):
     """Exact mode would iterate more than density.EXACT_SUBSET_GUARD subsets
-    (10^6 for h > 7), or Monte Carlo would draw more than
-    density.MC_DRAW_GUARD h-tuples per kept sample."""
+    (10^6 for h > 7), or Monte Carlo would take more than 10^6 samples for
+    h > 7 or draw more than density.MC_DRAW_GUARD h-tuples per kept sample."""
 
 
 class PackingFailed(RuntimeError):

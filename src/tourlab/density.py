@@ -52,8 +52,11 @@ MC_DRAW_GUARD = 16
 _CHUNK = 1 << 16  # pattern codes computed per step, exact or Monte Carlo
 _TABLE_MAX_H = 7  # largest h with a dense code -> class table (2^21 entries)
 # Above _TABLE_MAX_H each distinct code costs a canonical search: 45-62 us a
-# subset at h=8, n=14..18 on one core of a 2-vCPU host: under a minute at the guard.
+# subset at h=8, n=14..18 on one core of a 2-vCPU host: under a minute at the
+# guard, which bounds exact subsets and Monte-Carlo samples alike.
 _SEARCH_SUBSET_GUARD = 10**6
+_SEARCH_COST = (f"for h > {_TABLE_MAX_H}, where each {{}} costs up to a canonical "
+                f"search (about 55 us)")
 
 
 @dataclass(frozen=True)
@@ -184,7 +187,8 @@ def _census_total(
     in Monte-Carlo mode.  Raises before any census work: ValueError for a
     pattern that does not fit the host, an unknown mode, or Monte-Carlo
     samples or seed missing or out of range; TooLarge past the exact guard
-    (_SEARCH_SUBSET_GUARD above _TABLE_MAX_H), or past the Monte-Carlo draw
+    (_SEARCH_SUBSET_GUARD above _TABLE_MAX_H), past _SEARCH_SUBSET_GUARD
+    Monte-Carlo samples above _TABLE_MAX_H, or past the Monte-Carlo draw
     guard.
     """
     if mode not in ("exact", "montecarlo"):
@@ -196,8 +200,7 @@ def _census_total(
         search = h > _TABLE_MAX_H
         guard = _SEARCH_SUBSET_GUARD if search else EXACT_SUBSET_GUARD
         if total > guard:
-            cost = (f" for h > {_TABLE_MAX_H}, where each subset costs up to a "
-                    f"canonical search (about 55 us)") if search else ""
+            cost = " " + _SEARCH_COST.format("subset") if search else ""
             raise TooLarge(f"C({n},{h}) = {total} exceeds the exact-mode guard "
                            f"{guard}{cost}; use Monte Carlo")
         return total
@@ -206,6 +209,9 @@ def _census_total(
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
     check_seed(seed)
+    if h > _TABLE_MAX_H and samples > _SEARCH_SUBSET_GUARD:
+        raise TooLarge(f"{samples} Monte-Carlo samples exceed the guard "
+                       f"{_SEARCH_SUBSET_GUARD} {_SEARCH_COST.format('sample')}")
     tuples = perm(n, h)  # ordered h-tuples without a repeated vertex
     if n**h > MC_DRAW_GUARD * tuples:
         raise TooLarge(

@@ -5,16 +5,18 @@ and deduplicates.  Only the orientation patterns that give the new vertex
 the minimum score (out-degree) of the child are canonicalized: deleting a
 minimum-score vertex from any class leaves some (h-1)-vertex class, whose
 extension by that vertex's pattern is such a pattern, so no class is lost.
-The labeled-mass identity sum(h!/aut) = 2^C(h,2) over the catalog guards
-completeness and is checked in the test suite.  A cache file is read back
-only if byte-identical to the pinned catalog.
+Each search also gives aut(H), a class invariant, so the catalog records
+it beside each item.  The labeled-mass identity sum(h!/aut) = 2^C(h,2) over
+the catalog guards completeness and is checked in the test suite.  The
+cache holds two files per h, the catalog and its aut counts, and each is
+read back only if byte-identical to its pinned file.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, TextIO
@@ -47,6 +49,22 @@ _CATALOG_SHA256 = (
     "d239d4cf1d8c2b222eb002a4f6e8cdd5e65f8297cc013b20d76b7d6ecb8fec17",
 )
 
+# sha256 of the aut file that _write_auts writes beside that catalog for
+# h = 1..9: aut(H) of each class in catalog order, one decimal per line,
+# recorded from core.aut_size over each pinned catalog, not from the searches
+# of enumeration.  An aut file is read back only if it has this digest.
+_AUT_SHA256 = (
+    "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "8391e9ff91c3c6402f9596a8c9e82d4ceaa7815687f5854f7e1a23b194be4968",
+    "298d85a1e3333533958e1b569496b2f005b775cbd4aa57463b4fa8d1fa601df7",
+    "77091771a8a3f5f8716ab5cf7ea2e6834c144975bc5e51fb4db55f91056240c4",
+    "0c95d21d5fa5715308385dd81ac066f54228286eb5a4cc18ef26f07c0b1e51eb",
+    "37cfa09bdb00bc7a13d837224dbf9b713fc2246949112546ecd111c1c723e96b",
+    "d4584f7e921a3e511585273cf49f9803f6a0755f3e535f67f2974d7800ef26db",
+    "fd2fe80730ed9e3a2898f01dd79ff2d574e7ae41b01c7891549cf0c205e9be16",
+)
+
 
 class Unsupported(ValueError):
     """Enumeration requested beyond the supported vertex range."""
@@ -59,10 +77,26 @@ class CorruptCacheWarning(UserWarning):
 @dataclass(frozen=True)
 class TournamentCatalog:
     """All isomorphism classes on h vertices, each item in canonical form,
-    sorted by canon bit sequence."""
+    sorted by canon bit sequence, and aut(H) of each item in item order.
+
+    Built without ``auts``, the catalog runs one canonical search per item
+    for them, and raises ValueError for an item not in canonical form."""
 
     h: int
     items: tuple[Tournament, ...]
+    auts: tuple[int, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.auts is None:
+            auts = []
+            for t in self.items:
+                code, aut = _canon_search(self.h, t.out_masks)
+                if code != int("0" + t.bits, 2):
+                    raise ValueError(f"catalog item {t.bits} is not in canonical form")
+                auts.append(aut)
+            object.__setattr__(self, "auts", tuple(auts))
+        elif len(self.auts) != len(self.items):
+            raise ValueError(f"{len(self.auts)} aut counts for {len(self.items)} items")
 
     def __len__(self) -> int:
         return len(self.items)
@@ -92,9 +126,11 @@ def _process_pool(workers: int):
     return ProcessPoolExecutor(max_workers=workers)
 
 
-def _extend_all(h: int, parents: list[str]) -> tuple[set[int], int]:
-    """Extend (h-1)-vertex canonical forms by one vertex and return the set
-    of canon ints reached, with the number of canonical searches run.
+def _extend_all(h: int, parents: list[str]) -> tuple[dict[int, int], int]:
+    """Extend (h-1)-vertex canonical forms by one vertex and return the
+    canon ints reached, each mapped to the aut its search found (aut is a
+    class invariant, so every search that reaches the class agrees), with
+    the number of canonical searches run.
 
     Only patterns that give the new vertex the minimum score (out-degree)
     of the child are searched.  That loses no class: a class C with a
@@ -107,7 +143,7 @@ def _extend_all(h: int, parents: list[str]) -> tuple[set[int], int]:
     one; the parent vertices of score d-1 (``must[d]``) must beat the new
     vertex.
     """
-    found: set[int] = set()
+    found: dict[int, int] = {}
     searched = 0
     full_old = (1 << (h - 1)) - 1
     for bits in parents:
@@ -125,7 +161,8 @@ def _extend_all(h: int, parents: list[str]) -> tuple[set[int], int]:
                 parent[v] | (((pattern >> v) & 1) << (h - 1)) for v in range(h - 1)
             ]
             masks.append(~pattern & full_old)
-            found.add(_canon_search(h, tuple(masks))[0])
+            code, aut = _canon_search(h, tuple(masks))
+            found[code] = aut
             searched += 1
     return found, searched
 
@@ -151,43 +188,48 @@ def enumerate_tournaments(
 
     Deterministic order (sorted canonical bit sequences) regardless of
     ``threads``; parents are partitioned across min(threads, CPUs) worker
-    processes and the result sets merged.  ``progress`` receives one status
+    processes and the results merged.  ``progress`` receives one status
     line per level.
     """
     _check_range(h)
     workers = _pool_size(threads)
-    level: list[str] = [""]
+    found = {0: 1}  # the one 1-vertex class
     for k in range(2, h + 1):
+        level = [_bits(value, pair_count(k - 1)) for value in sorted(found)]
         if workers > 1 and len(level) >= 4 * workers:
             chunks = [level[i::workers] for i in range(workers)]
-            canons: set[int] = set()
-            searched = 0
+            found, searched = {}, 0
             with _process_pool(workers) as pool:
                 for part, count in pool.map(_extend_all, [k] * workers, chunks):
-                    canons |= part
+                    found.update(part)
                     searched += count
         else:
-            canons, searched = _extend_all(k, level)
+            found, searched = _extend_all(k, level)
         if progress is not None:
-            progress(f"level h={k}: {len(canons)} classes, {searched} of "
+            progress(f"level h={k}: {len(found)} classes, {searched} of "
                      f"{len(level) << (k - 1)} extensions searched")
-        m = pair_count(k)
-        level = [_bits(value, m) for value in sorted(canons)]
-    items = tuple(Tournament(h, bits) for bits in level)
-    return TournamentCatalog(h, items)
+    codes = sorted(found)
+    items = tuple(Tournament(h, _bits(value, pair_count(h))) for value in codes)
+    return TournamentCatalog(h, items, tuple(found[value] for value in codes))
 
 
 def cache_path(h: int, cache_dir: Path | str) -> Path:
     return Path(cache_dir) / f"tournaments_h{h}.txt"
 
 
-def _read_cache(path: Path, h: int) -> TournamentCatalog:
+def _cached_text(path: Path, digest: str, claim: str) -> str | None:
+    """The text of the cache file ``path`` if its sha256 is ``digest``; None
+    if the file is missing, and None with a CorruptCacheWarning stating
+    ``claim`` if it differs."""
+    if not path.exists():
+        return None
     import hashlib  # here, not at module level: only a cache read needs OpenSSL
     data = path.read_bytes()
-    if hashlib.sha256(data).hexdigest() != _CATALOG_SHA256[h - 1]:
-        raise ValueError(f"catalog in {path} is not canonical: its sha256 differs "
-                         f"from the pinned h={h} catalog")
-    return TournamentCatalog(h, tuple(_read_tournaments(path, h, data.decode())))
+    if hashlib.sha256(data).hexdigest() == digest:
+        return data.decode()
+    warnings.warn(f"regenerating corrupt cache: {claim}: its sha256 differs from the "
+                  f"pinned file", CorruptCacheWarning)
+    return None
 
 
 @contextmanager
@@ -212,6 +254,12 @@ def _write_cache(path: Path, catalog: TournamentCatalog) -> None:
         stream.write("\n".join(lines) + "\n")
 
 
+def _write_auts(path: Path, catalog: TournamentCatalog) -> None:
+    """Write aut(H) of each item, one decimal per line, atomically."""
+    with _replacing(path) as stream:
+        stream.write("".join(f"{aut}\n" for aut in catalog.auts))
+
+
 def _read_tournaments(path: Path, h: int | None, text: str | None = None) -> list[Tournament]:
     """The tournaments of a file in _write_cache's format, or one written by
     hand: an optional 'h=<k>' header, which overrides h, then one bit string
@@ -233,16 +281,27 @@ def load_or_enumerate(
     threads: int = 1,
     progress: Callable[[str], None] | None = None,
 ) -> TournamentCatalog:
-    """Read the catalog from cache if present, else enumerate and write it.
-    A cache file is read back only if byte-identical to the pinned catalog;
-    any other is reported with a CorruptCacheWarning and regenerated."""
+    """Read the catalog and its aut file from cache if present, else
+    enumerate and write both.  Each file is read back only if byte-identical
+    to its pinned file; any other is reported with a CorruptCacheWarning and
+    regenerated.  A missing aut file is recomputed, one canonical search per
+    class, and written, if the directory allows it, without a warning."""
     _check_range(h)
     path = cache_path(h, cache_dir)
-    if path.exists():
-        try:
-            return _read_cache(path, h)
-        except ValueError as exc:
-            warnings.warn(f"regenerating corrupt cache: {exc}", CorruptCacheWarning)
-    catalog = enumerate_tournaments(h, threads=threads, progress=progress)
-    _write_cache(path, catalog)
+    aut_path = path.with_suffix(".aut")
+    text = _cached_text(path, _CATALOG_SHA256[h - 1], f"catalog in {path} is not canonical")
+    if text is None:
+        catalog = enumerate_tournaments(h, threads=threads, progress=progress)
+        _write_cache(path, catalog)
+        auts = None
+    else:
+        auts = _cached_text(aut_path, _AUT_SHA256[h - 1],
+                            f"aut counts in {aut_path} are not those of the h={h} catalog")
+        catalog = TournamentCatalog(h, tuple(_read_tournaments(path, h, text)),
+                                    None if auts is None else tuple(map(int, auts.split())))
+    if auts is None:
+        # the aut file only saves searches: an unwritable cache directory
+        # costs the next run the same searches, and no error
+        with suppress(OSError):
+            _write_auts(aut_path, catalog)
     return catalog

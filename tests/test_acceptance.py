@@ -31,10 +31,12 @@ from tourlab.density import (
     density_montecarlo,
 )
 from tourlab.enumeration import (
+    _AUT_SHA256,
     _CATALOG_SHA256,
     _write_cache,
     cache_path,
     enumerate_tournaments,
+    load_or_enumerate,
 )
 from tourlab.fas import min_fas
 
@@ -198,6 +200,16 @@ def test_criterion_07_labeled_mass(all_catalogs):
     for h in range(3, 9):
         mass = sum(factorial(h) // aut_size(t) for t in all_catalogs[h])
         assert mass == 1 << pair_count(h), h
+
+
+@pytest.mark.skipif(not LONG, reason="h=9 long run; set TOURLAB_LONG=1")
+@criterion(7, "optional h=9 aut file matches its pin and the labeled mass")
+def test_criterion_07_optional_h9_aut_pin(tmp_path):
+    catalog = load_or_enumerate(9, tmp_path, threads=2)
+    data = cache_path(9, tmp_path).with_suffix(".aut").read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
+    assert digest == _AUT_SHA256[8], f"h=9 aut file sha256 is {digest}"
+    assert sum(factorial(9) // aut for aut in catalog.auts) == 1 << pair_count(9)
 
 
 @criterion(8, "transversal construction: exhaustive structure + sampled transversals")

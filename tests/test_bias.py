@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 from tourlab import bias as bias_module
 from tourlab.bias import (
+    ClassificationRecord,
     OddCoefficientResidue,
     XOutOfRange,
     _bias_from_counts,
@@ -30,6 +31,7 @@ from tourlab.core import (
     transitive,
 )
 from tourlab.enumeration import TournamentCatalog
+from tourlab.fas import min_fas
 
 import oracles
 from strategies import tournaments
@@ -262,6 +264,23 @@ class TestClassifyCatalog:
                 assert rec.fas.max_forward == oracles.brute_max_forward(t)
                 assert oracles.forward_edges(t, rec.fas.witness_order) == rec.fas.max_forward
                 assert rec.in_Bh == in_bias_subset(t)
+
+    @pytest.mark.parametrize("h", [5, 6, 7])
+    def test_records_equal_an_independent_build(self, catalogs, h):
+        # the public records come from integer records and the catalog's
+        # auts; here every field comes from the public one-tournament API
+        expected = [
+            ClassificationRecord(
+                canonical_form=canonical_form(t),
+                aut=aut_size(t),
+                typical_density=typical_density(t),
+                bias=bias_polynomial(t),
+                fas=min_fas(t),
+                in_Bh=in_bias_subset(t),
+            )
+            for t in catalogs[h]
+        ]
+        assert classify_catalog(catalogs[h]) == expected
 
     def test_one_memo_and_progress_line_per_block(self, catalogs, monkeypatch):
         items = catalogs[3].items * 2049  # 4098 classes: a full block and two more

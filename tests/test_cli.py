@@ -249,6 +249,9 @@ BAD_CENSUS_REQUESTS = [
     # C(40,8) = 76,904,685 passes the 10^8 guard, but each subset costs up to a
     # canonical search above h=7
     ("exact-search-guard", "40", ("--h", "8"), 3, "guard 1000000 for h > 7"),
+    ("mc-search-guard", "20",
+     ("--h", "8", "--mode", "mc", "--samples", "1000001", "--seed", "1"), 3,
+     "guard 1000000 for h > 7, where each sample costs"),
     ("mc-draw-guard", "7", ("--h", "6", "--mode", "mc", "--samples", "10", "--seed", "1"), 3,
      "use exact mode: C(7,6) = 7 subsets"),
 ]
@@ -515,10 +518,21 @@ class TestStats:
         assert stats["command"] == "fas-table" and stats["exit"] == 0
         assert set(stats["stages_s"]) == {"catalog", "classify", "output"}
         assert stats["workers"] >= 1 and stats["peak_rss_mb"] > 0
-        assert stats["canon_searches"] == 12  # warm cache: one per classified class
+        assert stats["canon_searches"] == 0  # warm cache: aut is read from the aut file
         assert stats["dp_entries"] == 35  # distinct induced codes of the 12 classes
         assert "canon_cache" not in stats
         assert set(stats["loaded"]) == {"numpy"}
+
+    def test_missing_aut_file_is_recomputed_silently(self, run, recwarn):
+        _, plain = run("fas-table", "--h", "5")
+        aut_file = cache_path(5, run.tmp_path / ".tourlab-cache").with_suffix(".aut")
+        pinned = aut_file.read_bytes()
+        aut_file.unlink()
+        code, out = run("fas-table", "--h", "5", "--stats")
+        assert (code, out) == (0, plain)
+        assert json.loads(run.stderr.splitlines()[-1])["canon_searches"] == 12  # one a class
+        assert aut_file.read_bytes() == pinned
+        assert not recwarn.list
 
     def test_stats_line_on_failure(self, run):
         code, out = run("enumerate", "--h", "9", "--stats")

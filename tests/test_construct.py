@@ -197,6 +197,10 @@ class TestSerialization:
     def test_reject_malformed(self):
         with pytest.raises(ValueError):
             BigTournament.from_text("n=10\n{}\n0101\n")
+        for bad in ("2", "/", " ", "é", "\u2070"):  # the last two are not ASCII
+            bits = "01" * 10 + bad + "10" * 12  # C(10,2) = 45 characters
+            with pytest.raises(ValueError, match="expected 45 orientation bits, got 45"):
+                BigTournament.from_text(f"n=10\n{{}}\n{bits}\n")
         for n in (1, 3000):
             with pytest.raises(ValueError, match="n must be in"):
                 BigTournament.from_text(f"n={n}\n{{}}\n" + "0" * pair_count(n) + "\n")

@@ -119,6 +119,19 @@ class TestSearchGuard:
             with pytest.raises(TooLarge, match="use Monte Carlo"):
                 density._census_total(n, h)
 
+    def test_mc_samples_refused_above_h7_before_drawing(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("sampled subsets past the Monte-Carlo search guard")
+
+        monkeypatch.setattr(density, "_sample_subsets", no_draw)
+        g = build_tnp(20, Fraction(1, 2), seed=1)
+        with pytest.raises(TooLarge, match="1000001 Monte-Carlo samples exceed the guard "
+                                           "1000000 for h > 7, where each sample costs"):
+            dominance_report([transitive(8)], g, None, "montecarlo", 10**6 + 1, seed=1)
+        # h <= 7 has a class table: no sample guard there
+        assert density._census_total(20, 7, "montecarlo", 10**7, seed=1) == 10**7
+        assert density._census_total(20, 8, "montecarlo", 10**6, seed=1) == 10**6
+
     def test_refused_before_census_work(self, monkeypatch):
         def no_codes(*args):
             raise AssertionError("computed pattern codes past the guard")

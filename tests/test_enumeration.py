@@ -11,13 +11,23 @@ from pathlib import Path
 import pytest
 
 from tourlab import core, enumeration
-from tourlab.core import Tournament, aut_size, canonical_form, pair_count, pair_index
+from tourlab.core import (
+    Tournament,
+    _canonical,
+    aut_size,
+    canonical_form,
+    pair_count,
+    pair_index,
+    transitive,
+)
 from tourlab.enumeration import (
+    _AUT_SHA256,
     _CATALOG_SHA256,
     CorruptCacheWarning,
     TournamentCatalog,
     Unsupported,
     _extend_all,
+    _write_auts,
     _write_cache,
     cache_path,
     enumerate_tournaments,
@@ -70,11 +80,13 @@ def _extension(parent: Tournament, pattern: int) -> Tournament:
 
 @pytest.mark.parametrize("h", range(3, 8))
 def test_extend_all_reaches_every_extension_class(catalogs, h):
+    # every class reached, each with its aut
     parents = catalogs[h - 1]
     every = {
-        int(canonical_form(_extension(parent, pattern)).bits, 2)
+        int(form.bits, 2): aut
         for parent in parents
         for pattern in range(1 << (h - 1))
+        for form, aut in [_canonical(_extension(parent, pattern))]
     }
     found, searched = _extend_all(h, [t.bits for t in parents])
     assert found == every
@@ -85,6 +97,27 @@ def test_extend_all_reaches_every_extension_class(catalogs, h):
 def test_labeled_mass_identity(catalog_at, h):
     mass = sum(factorial(h) // aut_size(t) for t in catalog_at(h))
     assert mass == 1 << pair_count(h)
+
+
+@pytest.mark.parametrize("h", range(1, 9))
+def test_labeled_mass_of_recorded_auts(catalog_at, h):
+    assert sum(factorial(h) // aut for aut in catalog_at(h).auts) == 1 << pair_count(h)
+
+
+def test_hand_built_catalog_computes_auts(catalogs):
+    for h in (4, 5):
+        built = TournamentCatalog(h, catalogs[h].items)
+        assert built.auts == catalogs[h].auts == tuple(aut_size(t) for t in catalogs[h])
+
+
+def test_hand_built_catalog_rejects_non_canonical_item():
+    with pytest.raises(ValueError, match="111111 is not in canonical form"):
+        TournamentCatalog(4, (transitive(4),))  # its canonical form is 000000
+
+
+def test_hand_built_catalog_rejects_wrong_aut_count(catalogs):
+    with pytest.raises(ValueError, match="3 aut counts for 4 items"):
+        TournamentCatalog(4, catalogs[4].items, (1, 1, 1))
 
 
 def test_items_canonical_sorted_distinct(catalogs):
@@ -110,6 +143,7 @@ def test_deterministic_across_runs_and_threads():
     again = enumerate_tournaments(6)
     parallel = enumerate_tournaments(6, threads=2)
     assert single == again == parallel
+    assert parallel.auts == single.auts  # merged from the workers' searches
 
 
 class _InlinePool:
@@ -186,7 +220,8 @@ class TestCache:
 
     def test_write_leaves_no_temporary_file(self, tmp_path):
         load_or_enumerate(4, tmp_path)
-        assert [p.name for p in tmp_path.iterdir()] == [cache_path(4, tmp_path).name]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tournaments_h4.aut",
+                                                              "tournaments_h4.txt"]
 
     def test_non_canonical_line_regenerates(self, tmp_path):
         # 010001 relabels 001000, so the body passes the count, sort and
@@ -213,8 +248,44 @@ class TestCache:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == _CATALOG_SHA256[h - 1], f"h={h} cache sha256 is {digest}"
 
+    @pytest.mark.parametrize("h", range(1, 9))
+    def test_aut_pin_is_the_oracle_file(self, catalog_at, tmp_path, h):
+        # from brute force up to h=5 and from aut_size above, not from the
+        # auts that enumeration records
+        catalog = catalog_at(h)
+        aut = oracles.brute_aut if h <= 5 else aut_size
+        text = "".join(f"{aut(t)}\n" for t in catalog)
+        assert hashlib.sha256(text.encode()).hexdigest() == _AUT_SHA256[h - 1]
+        path = cache_path(h, tmp_path).with_suffix(".aut")
+        _write_auts(path, catalog)
+        assert path.read_text() == text
+
+    def test_unwritable_aut_file_is_not_an_error(self, tmp_path, monkeypatch, recwarn):
+        first = load_or_enumerate(5, tmp_path)
+        path = cache_path(5, tmp_path).with_suffix(".aut")
+        path.unlink()
+
+        def refuse(*args):
+            raise PermissionError("read-only cache directory")
+
+        monkeypatch.setattr(enumeration, "_write_auts", refuse)
+        assert load_or_enumerate(5, tmp_path) == first
+        assert not path.exists() and not recwarn.list
+
+    def test_flipped_aut_byte_regenerates_with_warning(self, tmp_path):
+        first = load_or_enumerate(6, tmp_path)
+        path = cache_path(6, tmp_path).with_suffix(".aut")
+        pinned = path.read_bytes()
+        assert pinned[:2] == b"1\n"  # the transitive class, first, has aut 1
+        path.write_bytes(b"3" + pinned[1:])
+        with pytest.warns(CorruptCacheWarning, match="aut counts .* not those of the h=6"):
+            catalog = load_or_enumerate(6, tmp_path)
+        assert catalog == first
+        assert path.read_bytes() == pinned
+
     def test_warm_read_runs_no_canonical_search(self, catalog8, tmp_path, monkeypatch):
         _write_cache(cache_path(8, tmp_path), catalog8)
+        _write_auts(cache_path(8, tmp_path).with_suffix(".aut"), catalog8)
 
         def search(*args):
             raise AssertionError("canonical search during a cache read")
