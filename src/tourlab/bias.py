@@ -178,20 +178,18 @@ def bias_polynomial(t: Tournament) -> BiasPolynomial:
     Odd coefficients must cancel; a nonzero residue raises
     OddCoefficientResidue.
     """
-    aut = aut_size(t)
-    return _bias_polynomial(t.h, aut, _bias_from_counts(t.h, forward_histogram(t).counts, aut))
+    return _bias_polynomial(t.h, aut_size(t), _bias_from_counts(t.h, forward_histogram(t).counts))
 
 
-def _bias_from_counts(h: int, counts: tuple[int, ...], aut: int) -> tuple[int, ...]:
+def _bias_from_counts(h: int, counts: tuple[int, ...]) -> tuple[int, ...]:
     """The numerators over aut 2^m of B(H,x)'s coefficients of x^0, x^2, ...,
     x^(2 floor(m/2)), from N[k]: 2^m aut B = sum_k N[k] (1+2x)^k (1-2x)^(m-k).
-    The first is sum_k N[k] = h!.  aut only enters the message of the
-    OddCoefficientResidue raised for a nonzero odd coefficient."""
+    The first is sum_k N[k] = h!."""
     nums = _expand(h, counts, (1, 2), (1, -2))
     for e in range(1, len(nums), 2):
         if nums[e]:
-            raise OddCoefficientResidue(f"odd coefficient x^{e} = {nums[e]}/"
-                                        f"{aut << pair_count(h)} for h={h}, histogram {counts}")
+            raise OddCoefficientResidue(f"odd coefficient x^{e} with numerator {nums[e]} "
+                                        f"for h={h}, histogram {counts}")
     return tuple(nums[::2])
 
 
@@ -237,7 +235,7 @@ def in_bias_subset(t: Tournament) -> bool:
     transitive with density 1) and there is no strict local minimum;
     returns False.
     """
-    return _rises_at_zero(_bias_from_counts(t.h, forward_histogram(t).counts, aut_size(t)))
+    return _rises_at_zero(_bias_from_counts(t.h, forward_histogram(t).counts))
 
 
 def in_F(t: Tournament, x: Fraction) -> bool:
@@ -302,7 +300,7 @@ def _classified(
     for start in range(0, len(items), step):
         memo = _new_memo()
         for t, aut in zip(items[start : start + step], auts[start : start + step]):
-            nums = _bias_from_counts(h, _histogram_counts(t, memo), aut)
+            nums = _bias_from_counts(h, _histogram_counts(t, memo))
             yield _Record(h, t.bits, aut, nums, _fas(t, memo))
         if progress is not None:
             progress(f"classified {min(start + step, len(items))}/{len(items)}")

@@ -4,14 +4,14 @@ The density of an h-vertex pattern H in G is the probability that a
 uniformly random h-subset of G induces a copy of H.  Exact mode counts
 every subset; Monte-Carlo mode samples subsets with replacement.  Both
 count labeled patterns: the orientation bits of an induced sub-tournament,
-MSB-first in the fixed pair order, form its pattern code, and numpy tallies
-the codes.  Each distinct code is mapped to its isomorphism class once, at
-the end -- through a dense code -> canonical-code table for h <= 7, by
-canonical search above -- so measuring a whole catalog against one G costs
-a single pass.  Both modes read G through its adjacency matrix ``g.adj``,
-flattened so entry u*n + v is 1 iff u -> v; G's pair order stays in
-``construct``, and a pattern code takes each pair's bit at ``core._shift``,
-the one home of that layout.
+MSB-first in the fixed pair order, form its pattern code.  For h <= 7 a
+dense code -> class-index table maps each block of codes to classes, which
+numpy tallies; above, numpy tallies the codes and each distinct code is
+mapped to its isomorphism class once, at the end, by canonical search.  So
+measuring a whole catalog against one G costs a single pass.  Both modes
+read G through its adjacency matrix ``g.adj``, flattened so entry u*n + v
+is 1 iff u -> v; G's pair order stays in ``construct``, and a pattern code
+takes each pair's bit at ``core._shift``, the one home of that layout.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ EXACT_SUBSET_GUARD = 10**8
 # exact mode counts all C(n,h) subsets at less cost.
 MC_DRAW_GUARD = 16
 _CHUNK = 1 << 16  # pattern codes computed per step, exact or Monte Carlo
-_TABLE_MAX_H = 7  # largest h with a dense code -> class table (2^21 entries)
+_TABLE_MAX_H = 7  # largest h with a dense code -> class table (2^21 int16, 4 MB)
 # Above _TABLE_MAX_H each distinct code costs a canonical search: 45-62 us a
 # subset at h=8, n=14..18 on one core of a 2-vCPU host: under a minute at the
 # guard, which bounds exact subsets and Monte-Carlo samples alike.
@@ -82,16 +82,17 @@ class DensityReport:
 
 
 @lru_cache(maxsize=None)
-def _canon_table(h: int) -> np.ndarray:
-    """canon[code] = canonical code of every labeled h-vertex pattern code.
+def _class_table(h: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """The canonical codes of the h-vertex classes, ascending (catalog
+    order), and index[code] = the class number of every labeled pattern code.
 
     The canonical form is the lex-min relabeled bit string, so its code is
     the least code in the S_h orbit.  Codes are visited in increasing
-    order: the least code not yet written is the least of its orbit, and
-    is written over the whole orbit at once.  Relabeling by a permutation
-    moves the bit of pair (a, b) to pair (perm[a], perm[b]), flipped when
-    perm reverses the pair, so the images of a code under all h!
-    permutations are base + weight @ bits.
+    order: the least code not yet indexed is the least of its orbit, and
+    opens the next class over the whole orbit at once.  Relabeling by a
+    permutation moves the bit of pair (a, b) to pair (perm[a], perm[b]),
+    flipped when perm reverses the pair, so the images of a code under all
+    h! permutations are base + weight @ bits.
     """
     m = pair_count(h)
     perms = np.array(list(permutations(range(h))), dtype=np.int64)
@@ -102,26 +103,29 @@ def _canon_table(h: int) -> np.ndarray:
     base = (flip << dest).sum(axis=1)
     weight = (1 - 2 * flip) << dest
     source = _shift(pairs[:, 0], pairs[:, 1], h)
-    canon = np.full(1 << m, -1, dtype=np.int32)
+    index = np.full(1 << m, -1, dtype=np.int16)
+    classes: list[int] = []
     start = 0
-    while start < len(canon):
-        free = np.flatnonzero(canon[start : start + 4096] < 0)
+    while start < len(index):
+        free = np.flatnonzero(index[start : start + 4096] < 0)
         if not free.size:
             start += 4096
             continue
         code = start + int(free[0])
-        canon[base + weight @ ((code >> source) & 1)] = code
+        index[base + weight @ ((code >> source) & 1)] = len(classes)
+        classes.append(code)
         start = code + 1
-    canon.setflags(write=False)
-    return canon
+    index.setflags(write=False)
+    return tuple(classes), index
 
 
 def _census(h: int, blocks: Iterable[np.ndarray]) -> dict[str, int]:
     """{canonical bits: count} over all labeled pattern codes in blocks.
 
-    Labeled codes are tallied first; each distinct code is mapped to its
-    class once, at the end: through the dense table for h <= _TABLE_MAX_H,
-    by canonical search above it, where a 2^C(h,2) table does not fit.
+    Up to _TABLE_MAX_H each block is mapped to class indices through the
+    dense table and tallied over the classes.  Above it, where a 2^C(h,2)
+    table does not fit, labeled codes are tallied first and each distinct
+    code is mapped to its class once, at the end, by canonical search.
     There one np.unique runs over the codes of the whole request, never
     block by block: exact censuses of structured hosts repeat codes across
     blocks, and per-block dedup searched 143,394 codes where this searches
@@ -129,13 +133,11 @@ def _census(h: int, blocks: Iterable[np.ndarray]) -> dict[str, int]:
     """
     m = pair_count(h)
     if h <= _TABLE_MAX_H:
-        labeled = np.zeros(1 << m, dtype=np.int64)
+        classes, index = _class_table(h)
+        counts = np.zeros(len(classes), dtype=np.int64)
         for codes in blocks:
-            labeled += np.bincount(codes, minlength=1 << m)
-        classes = np.zeros_like(labeled)
-        np.add.at(classes, _canon_table(h), labeled)
-        found = np.flatnonzero(classes)
-        return {_bits(c, m): n for c, n in zip(found.tolist(), classes[found].tolist())}
+            counts += np.bincount(index[codes], minlength=len(classes))
+        return {_bits(c, m): n for c, n in zip(classes, counts.tolist()) if n}
     values, counts = np.unique(np.concatenate(list(blocks)), return_counts=True)
     census: dict[str, int] = {}
     for value, count in zip(values.tolist(), counts.tolist()):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from tourlab import bias as bias_module
+from tourlab import core
 from tourlab.bias import (
     ClassificationRecord,
     OddCoefficientResidue,
@@ -150,9 +151,10 @@ class TestBiasPolynomial:
         assert all(c == 0 for e, c in total.items() if e > 0)
 
     def test_odd_residue_raises(self):
-        # not a palindrome, so the odd coefficients of the expansion survive
-        with pytest.raises(OddCoefficientResidue):
-            _bias_from_counts(3, (1, 0, 0, 5), 1)
+        # not a palindrome, so the odd coefficients of the expansion survive:
+        # (1-2x)^3 + 5 (1+2x)^3 has x-coefficient 24
+        with pytest.raises(OddCoefficientResidue, match=r"x\^1 with numerator 24 for h=3"):
+            _bias_from_counts(3, (1, 0, 0, 5))
 
     def test_converse_duality(self, catalogs):
         for h in (3, 4, 5):
@@ -226,6 +228,12 @@ class TestMembership:
 
     def test_degenerate_h2(self):
         assert not in_bias_subset(transitive(2))
+
+    def test_runs_no_canonical_search(self, catalogs):
+        # the sign of a numerator over aut 2^m does not depend on aut
+        before = core._canon_searches
+        assert sum(in_bias_subset(t) for t in catalogs[6]) == 25
+        assert core._canon_searches == before
 
     def test_in_f_examples(self, catalogs):
         assert in_F(transitive(4), Fraction(1, 10))

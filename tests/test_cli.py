@@ -603,11 +603,11 @@ class TestStreamedOutput:
 
         real, calls = bias._bias_from_counts, []
 
-        def faulty(h, counts, aut):
+        def faulty(h, counts):
             calls.append(h)
             if len(calls) == 30:
                 raise bias.OddCoefficientResidue(f"odd coefficient in class 30 at h={h}")
-            return real(h, counts, aut)
+            return real(h, counts)
 
         monkeypatch.setattr(bias, "_bias_from_counts", faulty)
         code, out = run("fas-table", "--h", "6", "--format", fmt, "--out", "table.txt")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import os
 import statistics
 from fractions import Fraction
 from itertools import combinations
@@ -23,6 +24,8 @@ from tourlab.density import (
 )
 
 import oracles
+
+LONG = os.environ.get("TOURLAB_LONG") == "1"
 
 
 class TestExact:
@@ -176,27 +179,44 @@ class TestCanonTable:
     # OEIS A000568: tournaments on h unlabeled vertices
     CLASSES = {1: 1, 2: 1, 3: 2, 4: 4, 5: 12, 6: 56, 7: 456}
 
-    @pytest.mark.parametrize("h", [1, 2, 3, 4, 5])
+    @staticmethod
+    def check_codes(h, codes):
+        classes, index = density._class_table(h)
+        m = pair_count(h)
+        for code in codes:
+            t = Tournament(h, format(code, f"0{m}b") if m else "")
+            assert classes[index[code]] == _code(canonical_form(t)), t.bits
+
+    @pytest.mark.parametrize("h", [1, 2, 3, 4, 5, 6])
     def test_every_labeled_pattern(self, h):
-        table = density._canon_table(h)
-        for t in oracles.all_labeled(h):
-            assert table[_code(t)] == _code(canonical_form(t)), t.bits
+        self.check_codes(h, range(1 << pair_count(h)))
 
     @pytest.mark.parametrize("h", [6, 7])
     def test_sampled_labeled_patterns(self, h):
-        table = density._canon_table(h)
-        m = pair_count(h)
-        for code in np.random.default_rng(h).integers(0, 1 << m, size=300).tolist():
-            t = Tournament(h, format(code, f"0{m}b"))
-            assert table[code] == _code(canonical_form(t)), t.bits
+        codes = np.random.default_rng(h).integers(0, 1 << pair_count(h), size=300)
+        self.check_codes(h, codes.tolist())
+
+    @pytest.mark.skipif(not LONG, reason="2^21 canonical searches; set TOURLAB_LONG=1")
+    def test_every_labeled_pattern_h7(self):
+        self.check_codes(7, range(1 << pair_count(7)))
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4, 5, 6, 7])
     def test_orbits_are_the_classes(self, catalogs, h):
-        classes, orbit = np.unique(density._canon_table(h), return_counts=True)
-        assert len(classes) == self.CLASSES[h]
+        classes, index = density._class_table(h)
+        orbit = np.bincount(index)
+        assert len(classes) == len(orbit) == self.CLASSES[h]
         assert orbit.sum() == 1 << pair_count(h)
         expected = {_code(t): factorial(h) // aut_size(t) for t in catalogs[h]}
-        assert dict(zip(classes.tolist(), orbit.tolist())) == expected
+        assert dict(zip(classes, orbit.tolist())) == expected
+
+    @pytest.mark.parametrize("h", [1, 2, 3, 4, 5, 6, 7])
+    def test_class_i_is_catalog_item_i(self, catalogs, h):
+        # orbit sizes checked against the catalog's recorded auts tie the table to
+        # the pinned aut file
+        classes, index = density._class_table(h)
+        assert index.dtype == np.int16 and not index.flags.writeable
+        assert list(classes) == [_code(t) for t in catalogs[h]]
+        assert np.bincount(index).tolist() == [factorial(h) // a for a in catalogs[h].auts]
 
 
 class TestCensus:
@@ -240,6 +260,22 @@ class TestCensus:
         subsets = np.array(list(combinations(range(n), h)))
         codes = density._subset_patterns(g, subsets)
         assert density_census(g, h) == density._census(h, [codes])
+
+    @pytest.mark.parametrize("h", [5, 6, 7])
+    def test_many_blocks_against_a_census_without_the_table(self, monkeypatch, h):
+        n = 14
+        g = build_tnp(n, Fraction(3, 5), seed=h)
+        monkeypatch.setattr(density, "_CHUNK", 31)
+        assert comb(n, h) > 40 * density._CHUNK
+        codes = density._subset_patterns(g, np.array(list(combinations(range(n), h))))
+        expected: dict[str, int] = {}
+        values, counts = np.unique(codes, return_counts=True)
+        for code, count in zip(values.tolist(), counts.tolist()):
+            key = canonical_form(Tournament(h, format(code, f"0{pair_count(h)}b"))).bits
+            expected[key] = expected.get(key, 0) + count
+        census = density_census(g, h)
+        assert census == expected
+        assert list(census) == sorted(census)  # catalog order
 
     def test_one_search_per_distinct_code_across_blocks(self, monkeypatch):
         # above h=7 the codes of all blocks are deduplicated together: a

@@ -83,14 +83,29 @@ def _peak_rss_mb(*argv: str, cwd: Path) -> float:
     return json.loads(result.stderr.splitlines()[-1])["peak_rss_mb"]
 
 
+def _script_peak_mb(script: str, cwd: Path) -> float:
+    """Peak RSS of an interpreter that runs ``script``."""
+    code = (f"{script}; import resource, sys; rss = resource.getrusage(resource.RUSAGE_SELF)"
+            ".ru_maxrss; print(rss / (1 << 20 if sys.platform == 'darwin' else 1 << 10))")
+    return float(_python("-c", _SPAWN, sys.executable, "-c", code, cwd=cwd).stdout)
+
+
 def test_construct_memory_follows_the_draw_slice(tmp_path):
     # a whole-stream draw held some 100 MB of word and index arrays at n=2048
-    code = ("import resource, sys, numpy; rss = resource.getrusage(resource.RUSAGE_SELF)"
-            ".ru_maxrss; print(rss / (1 << 20 if sys.platform == 'darwin' else 1 << 10))")
-    numpy_only = float(_python("-c", _SPAWN, sys.executable, "-c", code, cwd=tmp_path).stdout)
+    numpy_only = _script_peak_mb("import numpy", tmp_path)
     built = _peak_rss_mb("construct", "--kind", "tnp", "--n", "2048", "--p", "3/5",
                          "--seed", "1", "--out", "g.txt", cwd=tmp_path)
     assert built - numpy_only <= 25, (built, numpy_only)
+
+
+def test_census_memory_follows_the_block(tmp_path):
+    # at h=7 a dense tally of the 2^21 labeled codes, its per-block bincount
+    # and np.add.at into classes held some 35 MB beyond the host and the table
+    host = ("from fractions import Fraction; from tourlab import density; "
+            "from tourlab.construct import build_tnp; g = build_tnp(24, Fraction(3, 5), 5)")
+    table_only = _script_peak_mb(f"{host}; density._class_table(7)", tmp_path)
+    census = _script_peak_mb(f"{host}; density.density_census(g, 7)", tmp_path)
+    assert census - table_only <= 20, (census, table_only)
 
 
 def test_table_memory_follows_one_record(tmp_path, catalog8):
