@@ -12,6 +12,7 @@ from .bias import (
     ClassificationRecord,
     DensityPolynomialP,
     ForwardHistogram,
+    bias_margin,
     bias_polynomial,
     classify_catalog,
     density_poly_p,
@@ -54,7 +55,6 @@ _LAZY = {
     "build_transversal": "construct",
     "blowup_group_count": "construct",
     "DensityReport": "density",
-    "bias_margin": "density",
     "density_census": "density",
     "density_exact": "density",
     "density_montecarlo": "density",

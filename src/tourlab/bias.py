@@ -16,8 +16,8 @@ big integers at X = 2^D, and the coefficients are read back as the m+1
 signed base-X digits of the sum.  Everything here is exact: coefficients
 are integer numerators over aut(H) * 2^m (B) or aut(H) (d), converted to
 Fraction at the boundary.  Classifying a catalog runs no canonical search,
-since the catalog records aut(H), and builds no Fraction until a caller
-asks for the public records.
+since the catalog records aut(H), and ``in_F`` and ``bias_margin`` run
+none: B(H,x)/d(H) is a ratio of B's numerators, in which aut cancels.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ __all__ = [
     "typical_density",
     "in_bias_subset",
     "in_F",
+    "bias_margin",
     "classify_catalog",
 ]
 
@@ -240,7 +241,18 @@ def in_bias_subset(t: Tournament) -> bool:
 
 def in_F(t: Tournament, x: Fraction) -> bool:
     """True iff B(H,x) > d(H) at the exact rational bias x in (0, 1/2)."""
-    return _beats_typical(bias_polynomial(t), _check_x(x))
+    return _gain(_bias_from_counts(t.h, forward_histogram(t).counts), _check_x(x)) > 0
+
+
+def bias_margin(patterns: list[Tournament], x: Fraction) -> Fraction:
+    """The exact dominance margin min B(H,x)/d(H) - 1 over the patterns at a
+    bias 0 < x < 1/2 (else XOutOfRange, as in ``in_F``): positive exactly
+    when every pattern is in F(h,x), and the natural beta to demand of a
+    construction targeting them."""
+    if not patterns:
+        raise ValueError("patterns must be nonempty")
+    x = _check_x(x)
+    return min(_gain(_bias_from_counts(t.h, forward_histogram(t).counts), x) for t in patterns)
 
 
 def _check_x(x: Fraction) -> Fraction:
@@ -251,9 +263,15 @@ def _check_x(x: Fraction) -> Fraction:
     return x
 
 
-def _beats_typical(bias: BiasPolynomial, x: Fraction) -> bool:
-    """B(H,x) > d(H) for an x already checked by ``_check_x``."""
-    return bias.evaluate(x) > bias.constant
+def _gain(nums: tuple[int, ...], x: Fraction) -> Fraction:
+    """B(H,x)/d(H) - 1 from B's even numerators, for an x already checked by
+    ``_check_x``: with x^2 = p/q and M = len(nums) - 1 it is
+    sum_(i>=1) nums[i] p^i q^(M-i) / (nums[0] q^M), since aut 2^m cancels."""
+    p, q = (x * x).as_integer_ratio()
+    top, scale = 0, 1
+    for num in reversed(nums[1:]):  # Horner in p/q, times q^M
+        top, scale = top * p + num * scale, scale * q
+    return Fraction(top * p, nums[0] * scale)
 
 
 class _Record(NamedTuple):
@@ -269,19 +287,6 @@ class _Record(NamedTuple):
     @property
     def in_Bh(self) -> bool:
         return _rises_at_zero(self.nums)
-
-
-def _public(rec: _Record) -> ClassificationRecord:
-    """The ClassificationRecord of an integer record: the one place that
-    builds its Fractions."""
-    return ClassificationRecord(
-        canonical_form=CanonicalForm(rec.h, rec.bits),
-        aut=rec.aut,
-        typical_density=_typical(rec.h, rec.aut),
-        bias=_bias_polynomial(rec.h, rec.aut, rec.nums),
-        fas=rec.fas,
-        in_Bh=rec.in_Bh,
-    )
 
 
 def _classified(
@@ -310,5 +315,7 @@ def classify_catalog(
     catalog: TournamentCatalog, progress: Callable[[str], None] | None = None
 ) -> list[ClassificationRecord]:
     """One ClassificationRecord per class, in catalog order, from the
-    records of ``_classified``."""
-    return [_public(rec) for rec in _classified(catalog, progress)]
+    records of ``_classified``: the one place that builds their Fractions."""
+    return [ClassificationRecord(CanonicalForm(rec.h, rec.bits), rec.aut, _typical(rec.h, rec.aut),
+                                 _bias_polynomial(rec.h, rec.aut, rec.nums), rec.fas, rec.in_Bh)
+            for rec in _classified(catalog, progress)]

@@ -20,9 +20,10 @@ Exit codes: 0 success, 2 bad arguments, 3 resource guard tripped,
 
 --threads caps the worker processes of enumeration, the one stage they
 pay for; classification runs in this process, record by record.  It reads
-aut(H) from the catalog cache, so a table on a warm cache runs 0 canonical
-searches, and rows are formatted from integer numerators: only
-dominance-check builds the Fractions of its classes' bias polynomials.
+aut(H) from the catalog cache, so on a warm cache only a census above h=7
+and a named --pattern run canonical searches.  Rows, and dominance-check's
+members and margin, come from integer numerators: no command builds a
+bias polynomial.
 
 --config names a JSON object of flags, keyed like the logged configuration.
 The command line is parsed once to find it, as any flag is found (so the
@@ -31,12 +32,14 @@ own, which win: true is a bare flag, false and null are left out, and an
 unknown key or a bad value exits 2.
 
 With --stats, one JSON line goes to stderr when the command ends, whether
-it succeeds or fails: the wall time of each stage (less the stages that
-run inside it: the table commands classify while they write), the largest
-worker pool this process started, this process's own peak RSS, the
-canonical searches and subset-DP memo entries the command computed in
-this process (enumeration workers are separate processes) and whether
-numpy was loaded.  stdout is the same with or without it.
+it succeeds or fails: the wall time of each stage (import, graph, build,
+catalog, classify, select, census, output), less the stages run inside it
+(the table commands classify while they write, and dominance-check while
+it selects the F(h,x) members), the largest worker pool this process
+started, this process's own peak RSS, the canonical searches and subset-DP
+memo entries the command computed in this process (enumeration workers are
+separate processes) and whether numpy was loaded.  stdout is the same with
+or without it.
 
 Only the commands that read or build big tournaments (construct, density,
 dominance-check) import the numpy layers, inside their handlers.
@@ -57,7 +60,7 @@ from time import perf_counter
 from typing import Iterable, Iterator
 
 from . import core, enumeration, fas
-from .bias import OddCoefficientResidue, _beats_typical, _check_x, _classified, _public, _Record
+from .bias import OddCoefficientResidue, _check_x, _classified, _gain, _Record
 from .core import PackingFailed, TooLarge, Tournament, cyclic3, pair_count, transitive
 from .enumeration import (
     TournamentCatalog,
@@ -378,13 +381,12 @@ def _host(args, stats: RunStats):
         return BigTournament.load(args.graph)
 
 
-def _census(args, stats: RunStats, g, patterns: list[Tournament], beta: Fraction) -> list:
-    """Measure patterns in g by --mode and write the report rows."""
-    from .density import dominance_report
+def _census(args, stats: RunStats, g, classes: list, beta: Fraction) -> list:
+    """Measure the (canonical form, aut) classes in g by --mode and write
+    the report rows."""
+    from .density import _reports
     with stats.stage("census"):
-        reports = dominance_report(
-            patterns, g, beta, mode=_MODES[args.mode], samples=args.samples, seed=args.seed
-        )
+        reports = _reports(classes, g, beta, _MODES[args.mode], args.samples, args.seed)
     with stats.stage("output"):
         _write_rows(*_density_rows(reports), args.format, args.out)
     return reports
@@ -396,10 +398,12 @@ def _cmd_density(args, stats: RunStats) -> int:
     if args.pattern == "all":
         if args.h is None:
             raise ValueError("pattern 'all' needs --h")
-        patterns = list(_catalog(args, stats, host=g).items)
+        catalog = _catalog(args, stats, host=g)
+        classes = [(core.CanonicalForm(t.h, t.bits), aut)
+                   for t, aut in zip(catalog.items, catalog.auts)]
     else:
-        patterns = _named_patterns(args.pattern, args.h)
-    _census(args, stats, g, patterns, args.beta or Fraction(0))
+        classes = [core._canonical(t) for t in _named_patterns(args.pattern, args.h)]
+    _census(args, stats, g, classes, args.beta or Fraction(0))
     return 0
 
 
@@ -407,20 +411,19 @@ def _cmd_dominance_check(args, stats: RunStats) -> int:
     _require(args, "graph", "h", "x")
     x = _check_x(args.x)
     g = _host(args, stats)
-    members = [r for r in map(_public, _records(args, stats, host=g))
-               if _beats_typical(r.bias, x)]
-    if not members:
+    records = _records(args, stats, host=g)
+    with stats.stage("select"):  # each F(h,x) member's B(H,x)/d(H) - 1, by (form, aut)
+        gains = {(core.CanonicalForm(rec.h, rec.bits), rec.aut): gain for rec in records
+                 if (gain := _gain(rec.nums, x)) > 0}
+        beta = min(gains.values()) / 2 if gains and args.beta is None else args.beta
+    if not gains:
         print(f"h={args.h} x={_frac_str(x)} family=0 satisfied=0")
         return 0
-    beta = args.beta
-    if beta is None:
-        from .density import _margin
-        beta = _margin([r.bias for r in members], x) / 2
-    reports = _census(args, stats, g, [r.canonical_form.tournament() for r in members], beta)
+    reports = _census(args, stats, g, list(gains), beta)
     satisfied = sum(1 for r in reports if r.margin is not None and r.margin > 0)
     print(
         f"h={args.h} x={_frac_str(x)} beta={_frac_str(beta)} "
-        f"family={len(members)} satisfied={satisfied}"
+        f"family={len(gains)} satisfied={satisfied}"
     )
     return 0
 

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .bias import BiasPolynomial, _check_x, _typical, bias_polynomial
+from .bias import _typical, bias_margin
 from .core import (
     CanonicalForm, TooLarge, Tournament, _bits, _canonical, _shift, canonical_form, pair_count,
 )
@@ -296,12 +296,19 @@ def dominance_report(
     """One report per pattern against the same G, sharing a single census
     pass.  The request is checked once, as a whole (``_census_total``),
     before any census work.  Each pattern costs one canonical search, for
-    its class and its typical density.  With a beta, ``margin > 0`` means
-    the pattern beats (1+beta) times typical."""
-    if not patterns:
+    its class and its aut; a caller that holds both runs none through
+    ``_reports``.  With a beta, ``margin > 0`` means the pattern beats
+    (1+beta) times typical."""
+    return _reports([_canonical(t) for t in patterns], g, beta, mode, samples, seed)
+
+
+def _reports(classes: list[tuple[CanonicalForm, int]], g: BigTournament, beta: Fraction | None,
+             mode: str, samples: int | None, seed: int | None) -> list[DensityReport]:
+    """``dominance_report`` of the classes given as (canonical form, aut)."""
+    if not classes:
         return []
-    h = patterns[0].h
-    if any(t.h != h for t in patterns):
+    h = classes[0][0].h
+    if any(form.h != h for form, _ in classes):
         raise ValueError("all patterns must share the same vertex count")
     if mode == "exact":  # density_census checks the request
         census, samples, seed = density_census(g, h), None, None
@@ -310,8 +317,7 @@ def dominance_report(
         total = _census_total(g.n, h, mode, samples, seed)
         census = _mc_census(g, h, samples, seed)
     reports = []
-    for t in patterns:
-        form, aut = _canonical(t)
+    for form, aut in classes:
         typical = _typical(h, aut)
         hits = census.get(form.bits, 0)
         if mode == "exact":
@@ -337,20 +343,3 @@ def dominance_report(
             margin=margin,
         ))
     return reports
-
-
-def bias_margin(patterns: list[Tournament], x: Fraction) -> Fraction:
-    """The exact dominance margin min B(H,x)/d(H) - 1 over the patterns, at
-    a bias 0 < x < 1/2 (else XOutOfRange, as in ``in_F``).
-
-    Positive exactly when every pattern satisfies B(H,x) > d(H); the
-    natural beta to demand of a construction targeting these patterns.
-    """
-    if not patterns:
-        raise ValueError("patterns must be nonempty")
-    return _margin([bias_polynomial(t) for t in patterns], _check_x(x))
-
-
-def _margin(biases: list[BiasPolynomial], x: Fraction) -> Fraction:
-    """min B(H,x)/d(H) - 1 for an x already checked by ``_check_x``."""
-    return min(b.evaluate(x) / b.constant - 1 for b in biases)

@@ -14,6 +14,8 @@ from tourlab.bias import (
     OddCoefficientResidue,
     XOutOfRange,
     _bias_from_counts,
+    _gain,
+    bias_margin,
     bias_polynomial,
     classify_catalog,
     density_poly_p,
@@ -249,6 +251,47 @@ class TestMembership:
             in_F(transitive(3), Fraction(1, 2))
         with pytest.raises(XOutOfRange):
             in_F(transitive(3), Fraction(0))
+
+
+GAIN_XS = [Fraction(1, 10), Fraction(1, 4), Fraction(1, 3), Fraction(49, 100),
+           Fraction(12345678901, 24691357803)]
+
+
+def _numerators(t: Tournament) -> tuple[int, ...]:
+    return _bias_from_counts(t.h, forward_histogram(t).counts)
+
+
+class TestGain:
+    """_gain(nums, x) = B(H,x)/d(H) - 1 from the integer numerators alone."""
+
+    @pytest.mark.parametrize("h", range(1, 8))
+    def test_equals_the_fraction_polynomial(self, catalogs, h):
+        for t in catalogs[h]:
+            b, nums = bias_polynomial(t), _numerators(t)
+            for x in GAIN_XS:
+                assert _gain(nums, x) == b.evaluate(x) / b.constant - 1, (t.bits, x)
+
+    @pytest.mark.parametrize("h", range(1, 6))
+    def test_equals_the_brute_expansion(self, catalogs, h):
+        for t in catalogs[h]:
+            coeffs = oracles.brute_bias_coeffs(t, oracles.brute_aut(t))
+            for x in GAIN_XS:
+                value = sum(c * x**e for e, c in coeffs.items())
+                assert _gain(_numerators(t), x) == value / coeffs[0] - 1, (t.bits, x)
+
+    @pytest.mark.parametrize("h", [1, 2])
+    def test_zero_below_three_vertices(self, h):
+        for x in GAIN_XS:
+            assert _gain(_numerators(transitive(h)), x) == 0
+
+    def test_in_f_and_margin_run_no_canonical_search(self, catalogs):
+        # aut cancels in B(H,x)/d(H), so neither needs a class's aut
+        items, x = list(catalogs[6].items), Fraction(1, 10)
+        before = core._canon_searches
+        members = [t for t in items if in_F(t, x)]
+        margin = bias_margin(members, x)
+        assert core._canon_searches == before
+        assert len(members) == 25 and margin > 0 >= bias_margin(items, x)
 
 
 class TestClassifyCatalog:

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 from fractions import Fraction
 from math import comb
 
@@ -13,6 +14,8 @@ import pytest
 from tourlab.cli import main
 from tourlab.construct import BigTournament
 from tourlab.enumeration import _write_cache, cache_path
+
+LONG = os.environ.get("TOURLAB_LONG") == "1"
 
 
 @pytest.fixture()
@@ -534,6 +537,29 @@ class TestStats:
         assert aut_file.read_bytes() == pinned
         assert not recwarn.list
 
+    def test_dominance_check_stages(self, run):
+        run("construct", "--kind", "tnp", "--n", "20", "--p", "3/5",
+            "--seed", "1", "--out", "g.txt")
+        code, _ = run("dominance-check", "--graph", "g.txt", "--h", "6", "--x", "1/10",
+                      "--stats")
+        stats = json.loads(run.stderr.splitlines()[-1])
+        assert code == 0 and set(stats["stages_s"]) == {
+            "import", "graph", "catalog", "classify", "select", "census", "output"}
+
+    @pytest.mark.parametrize("argv", [
+        ("density", "--pattern", "all"),
+        ("dominance-check", "--x", "1/10"),
+    ], ids=["density", "dominance-check"])
+    def test_warm_census_of_catalog_classes_runs_no_search(self, run, argv):
+        # the catalog holds each class's canonical form and aut, and the h=6
+        # census maps codes through the class table
+        run("construct", "--kind", "tnp", "--n", "20", "--p", "3/5",
+            "--seed", "1", "--out", "g.txt")
+        run("enumerate", "--h", "6")
+        code, _ = run(*argv, "--graph", "g.txt", "--h", "6", "--stats")
+        assert code == 0
+        assert json.loads(run.stderr.splitlines()[-1])["canon_searches"] == 0
+
     def test_stats_line_on_failure(self, run):
         code, out = run("enumerate", "--h", "9", "--stats")
         assert code == 3 and out == ""
@@ -568,6 +594,49 @@ class TestPinnedOutput:
         code, out = run("fas-table", "--h", "8", "--threads", threads)
         assert code == 0, run.stderr
         assert hashlib.sha256(out.encode()).hexdigest() == self.FAS_TABLE_H8
+
+    # sha256 of density and dominance-check stdout on `construct --kind tnp
+    # --p 3/5 --seed 1` hosts: host vertices, arguments after --graph
+    CENSUS_PINS = {
+        "dominance-check-h6": (
+            20, ("dominance-check", "--h", "6", "--x", "1/10"),
+            "11597cee37714d28bf0dab24ebe96a4cdbb596b8aaf7a30a2f262b6fa503add3"),
+        "dominance-check-h7": (
+            20, ("dominance-check", "--h", "7", "--x", "1/4"),
+            "88582b169fccc68b28133364a9f0285312605b6db18fdc108932fdc0abac89ae"),
+        "dominance-check-h8": (
+            12, ("dominance-check", "--h", "8", "--x", "1/10"),
+            "7c4ca7385841b573d005ff349e7fc1bcd2bf6d64b519cd20dd5213b877f90778"),
+        "dominance-check-h6-mc": (
+            2048, ("dominance-check", "--h", "6", "--x", "1/3", "--mode", "mc",
+                   "--samples", "100000", "--seed", "7"),
+            "72a2773986ec0fc080e35d1ec56038bf31d77a79c787e40dc6f3198715087edd"),
+        "density-all-h7": (
+            20, ("density", "--pattern", "all", "--h", "7"),
+            "79a8d460e2c6108cb2a5324ac2a1ead6d8c31ccd512abb9f4f72cb41b234862e"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CENSUS_PINS))
+    def test_census_stdout_pinned(self, run, catalog8, name):
+        n, argv, pin = self.CENSUS_PINS[name]
+        _write_cache(cache_path(8, run.tmp_path / ".tourlab-cache"), catalog8)
+        run("construct", "--kind", "tnp", "--n", str(n), "--p", "3/5",
+            "--seed", "1", "--out", "g.txt")
+        code, out = run(argv[0], "--graph", "g.txt", *argv[1:])
+        assert code == 0, run.stderr
+        assert hashlib.sha256(out.encode()).hexdigest() == pin
+
+    # h=9, on an exact 10-vertex host (10 subsets): the widest numerators
+    DOMINANCE_CHECK_H9 = "d4a591c01ef8a14f911804dfd90839e5974e5db46ad5745c5c8585da5fde1a2b"
+
+    @pytest.mark.skipif(not LONG, reason="h=9 long run; set TOURLAB_LONG=1")
+    def test_long_dominance_check_pinned(self, run):
+        run("construct", "--kind", "tnp", "--n", "10", "--p", "3/5",
+            "--seed", "1", "--out", "g.txt")
+        code, out = run("dominance-check", "--graph", "g.txt", "--h", "9", "--allow-long",
+                        "--x", "1/10", "--threads", "2")
+        assert code == 0, run.stderr
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DOMINANCE_CHECK_H9
 
 
 class TestStreamedOutput:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import tourlab
-from tourlab import construct, core, density
+from tourlab import bias, construct, core, density
 from tourlab.enumeration import _write_cache, cache_path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -68,6 +68,15 @@ def test_unknown_attribute_raises():
 def test_error_classes_are_reexported():
     assert density.TooLarge is core.TooLarge
     assert construct.PackingFailed is core.PackingFailed
+
+
+def test_bias_margin_loads_no_numpy(tmp_path):
+    # decided on bias's integer numerators; density only re-exports it
+    assert density.bias_margin is bias.bias_margin is tourlab.bias_margin
+    code = ("import sys, tourlab; from fractions import Fraction; "
+            "print(tourlab.bias_margin([tourlab.transitive(4)], Fraction(1, 10)), "
+            "'numpy' in sys.modules)")
+    assert _python("-c", code, cwd=tmp_path).stdout == "101/1875 False\n"
 
 
 # A process's peak RSS starts at that of the process that spawned it (Linux
