@@ -36,10 +36,10 @@ it succeeds or fails: the wall time of each stage (import, graph, build,
 catalog, classify, select, census, output), less the stages run inside it
 (the table commands classify while they write, and dominance-check while
 it selects the F(h,x) members), the largest worker pool this process
-started, this process's own peak RSS, the canonical searches and subset-DP
-memo entries the command computed in this process (enumeration workers are
-separate processes) and whether numpy was loaded.  stdout is the same with
-or without it.
+started, this process's own peak RSS, the canonical searches the command
+ran (enumeration workers' included, so the count is the same at any
+--threads), the subset-DP memo entries it computed in this process and
+whether numpy was loaded.  stdout is the same with or without it.
 
 Only the commands that read or build big tournaments (construct, density,
 dominance-check) import the numpy layers, inside their handlers.

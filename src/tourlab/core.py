@@ -73,7 +73,8 @@ class PackingFailed(RuntimeError):
     """Randomized clique packing did not succeed within the restart budget."""
 
 
-# Canonical searches run in this process, reported by `tourlab --stats`.
+# Canonical searches run in this process, and those of its enumeration workers
+# (credited by enumeration), reported by `tourlab --stats`.
 _canon_searches = 0
 
 _VERTICES: list[tuple[int, ...]] = [()]  # [mask]: the vertices in mask, ascending

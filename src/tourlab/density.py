@@ -247,13 +247,24 @@ def _subset_patterns(g: BigTournament, subsets: np.ndarray) -> np.ndarray:
 
 
 def _sample_subsets(rng: np.random.Generator, n: int, h: int, samples: int) -> np.ndarray:
-    """Uniform h-subsets with replacement drawn from rng, rows sorted."""
+    """Uniform h-subsets with replacement drawn from rng, rows sorted: each
+    round redraws, in row order, the rows that repeat a vertex, and checks
+    only those."""
     rows = np.sort(rng.integers(0, n, size=(samples, h)), axis=1)
-    while True:
-        bad = (np.diff(rows, axis=1) == 0).any(axis=1)
-        if not bad.any():
-            return rows
-        rows[bad] = np.sort(rng.integers(0, n, size=(int(bad.sum()), h)), axis=1)
+    redo = np.flatnonzero(_repeats(rows))
+    while len(redo):
+        fresh = np.sort(rng.integers(0, n, size=(len(redo), h)), axis=1)
+        rows[redo] = fresh
+        redo = redo[_repeats(fresh)]
+    return rows
+
+
+def _repeats(rows: np.ndarray) -> np.ndarray:
+    """Which sorted rows hold a vertex twice: equal adjacent columns."""
+    same = np.zeros(len(rows), dtype=bool)
+    for a in range(rows.shape[1] - 1):
+        same |= rows[:, a] == rows[:, a + 1]
+    return same
 
 
 def _mc_census(g: BigTournament, h: int, samples: int, seed: int) -> dict[str, int]:

@@ -2,9 +2,12 @@
 
 Generation extends each (h-1)-vertex class by a new vertex, canonicalizes,
 and deduplicates.  Only the orientation patterns that give the new vertex
-the minimum score (out-degree) of the child are canonicalized: deleting a
-minimum-score vertex from any class leaves some (h-1)-vertex class, whose
-extension by that vertex's pattern is such a pattern, so no class is lost.
+the least key of the child are canonicalized, a vertex's key being its score
+(out-degree) and then the score sum of its out-neighbours, which is C(score,
+2) plus the 3-cycles through it: deleting a least-key vertex from any class
+leaves some (h-1)-vertex class, whose extension by that vertex's pattern is
+such a pattern, so no class is lost.  At h=8 that is 7,942 searches for
+6,880 classes.
 Each search also gives aut(H), a class invariant, so the catalog records
 it beside each item.  The labeled-mass identity sum(h!/aut) = 2^C(h,2) over
 the catalog guards completeness and is checked in the test suite.  The
@@ -21,7 +24,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, TextIO
 
-from .core import Tournament, _bits, _canon_search, pair_count, parse
+from . import core
+from .core import _VERTICES, Tournament, _bits, _canon_search, pair_count, parse
 
 __all__ = [
     "TournamentCatalog",
@@ -132,16 +136,24 @@ def _extend_all(h: int, parents: list[str]) -> tuple[dict[int, int], int]:
     class invariant, so every search that reaches the class agrees), with
     the number of canonical searches run.
 
-    Only patterns that give the new vertex the minimum score (out-degree)
-    of the child are searched.  That loses no class: a class C with a
-    minimum-score vertex v is reached from the parent isomorphic to C - v
-    with v's pattern, and there the new vertex has the minimum score.
+    A vertex's key is its score (out-degree) and then s2, the sum of the
+    scores of its out-neighbours: s2 = C(score, 2) + the 3-cycles through
+    the vertex, so the key is an invariant of the vertex in its class.
+    Only patterns that give the new vertex the least key of the child are
+    searched.  That loses no class: a class C with a least-key vertex v is
+    reached from the parent isomorphic to C - v with v's pattern, and there
+    the new vertex has the least key.
 
     Pattern bit v is 1 when parent vertex v beats the new vertex, whose
     score is then d = h-1-popcount(pattern).  A parent vertex of score
     below d-1 cannot reach d, so d is at most the least parent score plus
     one; the parent vertices of score d-1 (``must[d]``) must beat the new
-    vertex.
+    vertex, and with the parent vertices of score d (``eq[d]``) that it
+    beats they tie its score.  Every s2 comes from the parent: the new vertex's is the
+    parent score sum over ~pattern, as the vertices it beats keep their
+    scores; a tied vertex u's is ``nsum[u]``, its out-neighbours' parent
+    score sum, plus those of them that beat the new vertex, plus d if u
+    beats it too.
     """
     found: dict[int, int] = {}
     searched = 0
@@ -150,12 +162,21 @@ def _extend_all(h: int, parents: list[str]) -> tuple[dict[int, int], int]:
         parent = Tournament(h - 1, bits).out_masks
         scores = [mask.bit_count() for mask in parent]
         top = min(scores) + 1
-        must = [0] * h
+        must, eq = [0] * h, [0] * h
+        taken = [0]  # [mask]: the parent score sum over the vertices in mask
         for v, score in enumerate(scores):
             must[score + 1] |= 1 << v
+            eq[score] |= 1 << v
+            taken += [total + score for total in taken]
+        nsum = [taken[mask] for mask in parent]
         for pattern in range(1 << (h - 1)):
             d = h - 1 - pattern.bit_count()
             if d > top or pattern & must[d] != must[d]:
+                continue
+            s2 = taken[~pattern & full_old]
+            ties = must[d] | (eq[d] & ~pattern)
+            if any(nsum[u] + (parent[u] & pattern).bit_count() + d * (pattern >> u & 1) < s2
+                   for u in _VERTICES[ties]):
                 continue
             masks = [
                 parent[v] | (((pattern >> v) & 1) << (h - 1)) for v in range(h - 1)
@@ -169,11 +190,12 @@ def _extend_all(h: int, parents: list[str]) -> tuple[dict[int, int], int]:
 
 def _check_range(h: int) -> None:
     if not 1 <= h <= len(_CATALOG_SHA256):
-        # scaled from h=9 on one thread, 2 vCPUs: enumerate 20.4 s and fas-table
-        # 69.5 s for all 191,536 rows, 0.58x and 0.88x the runs behind earlier
-        # figures of 30 minutes and 1.6 hours (306 us a class, 1.9x one level up);
+        # scaled by the 50.8x class count from h=9 on one thread, 2 vCPUs:
+        # enumerate 6.4 s and fas-table 69.5 s for all 191,536 rows, 0.88x the
+        # run behind an earlier figure of 1.6 hours (306 us a class, 1.9x one
+        # level up);
         # all but 17 MB of the 124 MB peak (catalog, masks, DP memo) grows 50.8x
-        cost = (": its 9,733,056 classes would take an estimated 17 minutes to "
+        cost = (": its 9,733,056 classes would take an estimated 5 minutes to "
                 "enumerate, and about 1.5 hours and some 6 GB of memory to classify "
                 "on one thread") if h == 10 else ""
         raise Unsupported(f"enumeration supports 1 <= h <= 9, got {h}{cost}")
@@ -203,6 +225,7 @@ def enumerate_tournaments(
                 for part, count in pool.map(_extend_all, [k] * workers, chunks):
                     found.update(part)
                     searched += count
+            core._canon_searches += searched  # run in the workers, counted here
         else:
             found, searched = _extend_all(k, level)
         if progress is not None:

@@ -49,7 +49,7 @@ class TestEnumerate:
     def test_level_lines_report_work_on_stderr(self, run):
         code, out = run("enumerate", "--h", "6")
         assert code == 0 and out == "h=6 classes=56\n"
-        assert "level h=6: 56 classes, 106 of 384 extensions searched\n" in run.stderr
+        assert "level h=6: 56 classes, 81 of 384 extensions searched\n" in run.stderr
         code, out = run("enumerate", "--h", "6")
         assert code == 0 and out == "h=6 classes=56\n"
         assert "level h=" not in run.stderr  # read from the cache
@@ -560,6 +560,19 @@ class TestStats:
         assert code == 0
         assert json.loads(run.stderr.splitlines()[-1])["canon_searches"] == 0
 
+    def test_enumeration_searches_are_counted_at_any_threads(self, run, monkeypatch):
+        # the workers' searches count too: levels h=6 and h=7 run on two workers
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        stats = {}
+        for threads in ("1", "2"):
+            code, _ = run("enumerate", "--h", "7", "--threads", threads, "--stats",
+                          "--cache-dir", f"cache{threads}")
+            assert code == 0
+            stats[threads] = json.loads(run.stderr.splitlines()[-1])
+        assert stats["2"]["workers"] == 2
+        # 1 + 2 + 6 + 14 + 81 + 573: the searches of levels h=2..7
+        assert stats["1"]["canon_searches"] == stats["2"]["canon_searches"] == 677
+
     def test_stats_line_on_failure(self, run):
         code, out = run("enumerate", "--h", "9", "--stats")
         assert code == 3 and out == ""
@@ -614,6 +627,11 @@ class TestPinnedOutput:
         "density-all-h7": (
             20, ("density", "--pattern", "all", "--h", "7"),
             "79a8d460e2c6108cb2a5324ac2a1ead6d8c31ccd512abb9f4f72cb41b234862e"),
+        # about 4.5 draws a kept sample: most rows are redrawn, over several rounds
+        "density-all-h6-mc-n12": (
+            12, ("density", "--pattern", "all", "--h", "6", "--mode", "mc",
+                 "--samples", "100000", "--seed", "7"),
+            "3a666de97357fd3b008779b4b4efd431f12f89cf7048193b550cb6116df68886"),
     }
 
     @pytest.mark.parametrize("name", sorted(CENSUS_PINS))

@@ -303,6 +303,23 @@ class TestMonteCarlo:
         assert sum(second.values()) == chunk
         assert second != density._mc_census(g, 4, chunk, seed=5 + chunk)
 
+    @pytest.mark.parametrize("n, h", [(2048, 6), (12, 6), (9, 8), (3, 3), (5, 1)])
+    def test_redraws_take_the_draws_of_whole_chunk_rounds(self, n, h):
+        # redrawing only the rows that repeat a vertex takes the same draws,
+        # in the same order, as re-checking the whole chunk every round
+        def whole_chunk_rounds(rng):
+            rows = np.sort(rng.integers(0, n, size=(5000, h)), axis=1)
+            while (bad := (np.diff(rows, axis=1) == 0).any(axis=1)).any():
+                rows[bad] = np.sort(rng.integers(0, n, size=(int(bad.sum()), h)), axis=1)
+            return rows
+
+        for seed in (5, 7, 123):
+            rows = density._sample_subsets(np.random.Generator(np.random.Philox(key=seed)),
+                                           n, h, 5000)
+            assert (np.diff(rows, axis=1) > 0).all()
+            assert np.array_equal(
+                rows, whole_chunk_rounds(np.random.Generator(np.random.Philox(key=seed))))
+
     def test_matches_exact_within_4_sigma(self):
         g = build_tnp(30, Fraction(1, 2), seed=21)
         exact = density_exact(g, transitive(4))

@@ -93,6 +93,34 @@ def test_extend_all_reaches_every_extension_class(catalogs, h):
     assert len(every) <= searched < len(parents) << (h - 1)
 
 
+# canonical searches of each level, h=2..7: one per extension whose new
+# vertex has the least (score, 3-cycles through it) of the child
+SEARCHED = {2: 1, 3: 2, 4: 6, 5: 14, 6: 81, 7: 573}
+
+
+def _has_least_key(t: Tournament, v: int) -> bool:
+    """Whether no vertex of t has a smaller (score, 3-cycles through it) than v."""
+    out = t.out_masks
+    keys = [
+        (out[u].bit_count(),
+         sum(out[u] >> a & out[a] >> b & out[b] >> u & 1 for a in range(t.h) for b in range(t.h)))
+        for u in range(t.h)
+    ]
+    return keys[v] == min(keys)
+
+
+@pytest.mark.parametrize("h", range(2, 8))
+def test_extend_all_searches_the_least_key_extensions(catalogs, h):
+    parents = catalogs[h - 1]
+    least = sum(
+        _has_least_key(_extension(parent, pattern), h - 1)
+        for parent in parents
+        for pattern in range(1 << (h - 1))
+    )
+    _, searched = _extend_all(h, [t.bits for t in parents])
+    assert searched == least == SEARCHED[h]
+
+
 @pytest.mark.parametrize("h", range(3, 9))
 def test_labeled_mass_identity(catalog_at, h):
     mass = sum(factorial(h) // aut_size(t) for t in catalog_at(h))
