@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd
 from typing import Callable, Iterator, NamedTuple
 
 from .core import CanonicalForm, Tournament, aut_size, pair_count
@@ -194,12 +194,19 @@ def _bias_from_counts(h: int, counts: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(nums[::2])
 
 
-def _bias_polynomial(h: int, aut: int, nums: tuple[int, ...]) -> BiasPolynomial:
-    """B(H,x) from its even numerators over aut 2^m; zero coefficients are
-    left out, except the constant."""
+def _bias_terms(h: int, aut: int, nums: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """The terms that B(H,x) lists, from its even numerators over aut 2^m:
+    (exponent, numerator, denominator) in lowest terms for every nonzero
+    coefficient, and for the constant, d(H), also when it is zero."""
     den = aut << pair_count(h)
-    return BiasPolynomial(h, tuple(
-        (2 * i, Fraction(num, den)) for i, num in enumerate(nums) if num or not i))
+    kept = [(2 * i, num, gcd(num, den)) for i, num in enumerate(nums) if num or not i]
+    return [(e, num // common, den // common) for e, num, common in kept]
+
+
+def _bias_polynomial(h: int, aut: int, nums: tuple[int, ...]) -> BiasPolynomial:
+    """B(H,x) from its even numerators over aut 2^m."""
+    return BiasPolynomial(h, tuple((e, Fraction(num, den))
+                                   for e, num, den in _bias_terms(h, aut, nums)))
 
 
 def _rises_at_zero(nums: tuple[int, ...]) -> bool:

@@ -23,7 +23,8 @@ pay for; classification runs in this process, record by record.  It reads
 aut(H) from the catalog cache, so on a warm cache only a census above h=7
 and a named --pattern run canonical searches.  Rows, and dominance-check's
 members and margin, come from integer numerators: no command builds a
-bias polynomial.
+bias polynomial.  construct reads no catalog and takes no --allow-long or
+--cache-dir; it keeps --threads, unread, as perfbench/run.py passes it.
 
 --config names a JSON object of flags, keyed like the logged configuration.
 The command line is parsed once to find it, as any flag is found (so the
@@ -54,14 +55,13 @@ import os
 import sys
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
-from math import gcd
 from pathlib import Path
 from time import perf_counter
 from typing import Iterable, Iterator
 
 from . import core, enumeration, fas
-from .bias import OddCoefficientResidue, _check_x, _classified, _gain, _Record
-from .core import PackingFailed, TooLarge, Tournament, cyclic3, pair_count, transitive
+from .bias import OddCoefficientResidue, _bias_terms, _check_x, _classified, _gain, _Record
+from .core import PackingFailed, TooLarge, Tournament, cyclic3, transitive
 from .enumeration import (
     TournamentCatalog,
     Unsupported,
@@ -97,13 +97,6 @@ def _fraction(text: str) -> Fraction:
 
 def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
-
-
-def _reduced(num: int, den: int) -> tuple[int, int]:
-    """num/den in lowest terms, for den > 0: Fraction(num, den)'s numerator
-    and denominator."""
-    common = gcd(num, den)
-    return num // common, den // common
 
 
 def _require(args, *names: str) -> None:
@@ -169,11 +162,9 @@ def _classification_rows(
 
 
 def _classification_row(rec: _Record, with_fas_extras: bool) -> dict:
-    """One table row from an integer record; each coefficient is its
-    numerator over aut 2^m in lowest terms, and the typical density is the
-    constant, h!/(aut 2^m)."""
-    den = rec.aut << pair_count(rec.h)
-    terms = [(2 * i, *_reduced(num, den)) for i, num in enumerate(rec.nums) if num or not i]
+    """One table row from an integer record: the terms of its bias
+    polynomial, whose constant is the typical density."""
+    terms = _bias_terms(rec.h, rec.aut, rec.nums)
     _, d_num, d_den = terms[0]
     row = dict(
         h=rec.h,
@@ -428,16 +419,16 @@ def _cmd_dominance_check(args, stats: RunStats) -> int:
     return 0
 
 
-def _add_common(sub, cache: bool = True) -> None:
+def _add_common(sub, catalog: bool = True) -> None:
     sub.add_argument("--threads", type=int, default=1,
                      help="worker cap for enumeration")
-    sub.add_argument("--allow-long", action="store_true",
-                     help="permit h>=9 computations")
     sub.add_argument("--config", default=None,
                      help="JSON file of argument defaults")
     sub.add_argument("--stats", action="store_true",
                      help="write one JSON line of run statistics to stderr at exit")
-    if cache:
+    if catalog:
+        sub.add_argument("--allow-long", action="store_true",
+                         help="permit h>=9 computations")
         sub.add_argument("--cache-dir", default=DEFAULT_CACHE,
                          help="catalog cache directory (env TOURLAB_CACHE overrides)")
 
@@ -487,7 +478,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default=None, help="'T<k>', 'C3' or a file (blowup)")
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
-    _add_common(p, cache=False)
+    _add_common(p, catalog=False)
     p.set_defaults(func=_cmd_construct)
 
     p = commands.add_parser("density", help="measure pattern densities in a graph file")

@@ -321,11 +321,10 @@ def _reports(classes: list[tuple[CanonicalForm, int]], g: BigTournament, beta: F
     h = classes[0][0].h
     if any(form.h != h for form, _ in classes):
         raise ValueError("all patterns must share the same vertex count")
-    if mode == "exact":  # density_census checks the request
-        census, samples, seed = density_census(g, h), None, None
-        total = comb(g.n, h)
+    total = _census_total(g.n, h, mode, samples, seed)
+    if mode == "exact":
+        census, samples, seed = _census(h, _exact_codes(g, h)), None, None
     else:
-        total = _census_total(g.n, h, mode, samples, seed)
         census = _mc_census(g, h, samples, seed)
     reports = []
     for form, aut in classes:

@@ -11,8 +11,9 @@ such a pattern, so no class is lost.  At h=8 that is 7,942 searches for
 Each search also gives aut(H), a class invariant, so the catalog records
 it beside each item.  The labeled-mass identity sum(h!/aut) = 2^C(h,2) over
 the catalog guards completeness and is checked in the test suite.  The
-cache holds two files per h, the catalog and its aut counts, and each is
-read back only if byte-identical to its pinned file.
+cache holds two files per h, the catalog and its aut counts; a cache hit is
+both, each byte-identical to its pinned file, and anything else is
+enumerated again.
 """
 
 from __future__ import annotations
@@ -83,8 +84,8 @@ class TournamentCatalog:
     """All isomorphism classes on h vertices, each item in canonical form,
     sorted by canon bit sequence, and aut(H) of each item in item order.
 
-    Built without ``auts``, the catalog runs one canonical search per item
-    for them, and raises ValueError for an item not in canonical form."""
+    Built by hand without ``auts``, the catalog runs one canonical search per
+    item for them, and raises ValueError for an item not in canonical form."""
 
     h: int
     items: tuple[Tournament, ...]
@@ -189,15 +190,16 @@ def _extend_all(h: int, parents: list[str]) -> tuple[dict[int, int], int]:
 
 
 def _check_range(h: int) -> None:
-    if not 1 <= h <= len(_CATALOG_SHA256):
-        # scaled by the 50.8x class count from h=9 on one thread, 2 vCPUs:
-        # enumerate 6.4 s and fas-table 69.5 s for all 191,536 rows, 0.88x the
-        # run behind an earlier figure of 1.6 hours (306 us a class, 1.9x one
-        # level up);
-        # all but 17 MB of the 124 MB peak (catalog, masks, DP memo) grows 50.8x
-        cost = (": its 9,733,056 classes would take an estimated 5 minutes to "
-                "enumerate, and about 1.5 hours and some 6 GB of memory to classify "
-                "on one thread") if h == 10 else ""
+    if h < 1:
+        raise ValueError(f"enumeration needs h >= 1, got {h}")
+    if h > len(_CATALOG_SHA256):
+        # scaled, one thread of a 2-vCPU host: 2000 random h=9 parents extended
+        # in 6.5-6.8 s (10.4-10.9 min for all 191,536); the subset DP took 0.73 ms
+        # a sampled h=10 class (2.0 hours for 9,733,056); all but 17 MB of the
+        # 124 MB peak of classifying h=9 (catalog, masks, DP memo) grows 50.8x
+        cost = (": its 9,733,056 classes would take an estimated 11 minutes to "
+                "enumerate, and about 2 hours and some 6 GB of memory to classify, "
+                "on one thread (scaled from samples)") if h == 10 else ""
         raise Unsupported(f"enumeration supports 1 <= h <= 9, got {h}{cost}")
 
 
@@ -286,16 +288,17 @@ def _write_auts(path: Path, catalog: TournamentCatalog) -> None:
 def _read_tournaments(path: Path, h: int | None, text: str | None = None) -> list[Tournament]:
     """The tournaments of a file in _write_cache's format, or one written by
     hand: an optional 'h=<k>' header, which overrides h, then one bit string
-    per line; blank lines are skipped.  ``text`` is the file's contents when
-    the caller has read them already."""
-    lines = [line for line in (path.read_text() if text is None else text).splitlines()
-             if line.strip()]
-    if lines and lines[0].startswith("h="):
-        h = int(lines[0][2:])
-        lines = lines[1:]
+    per line.  For h >= 2 blank lines are skipped; for h = 1 every line is
+    the one-vertex tournament, whose bit string is empty.  ``text`` is the
+    file's contents when the caller has read them already."""
+    lines = (path.read_text() if text is None else text).splitlines()
+    head = next((line for line in lines if line.strip()), "")
+    if head.startswith("h="):
+        h = int(head[2:])
+        lines = lines[lines.index(head) + 1 :]
     if h is None:
         raise ValueError(f"{path} has no 'h=<k>' header; pass --h")
-    return [parse(line, h) for line in lines]
+    return [parse(line, h) for line in lines if h == 1 or line.strip()]
 
 
 def load_or_enumerate(
@@ -304,27 +307,24 @@ def load_or_enumerate(
     threads: int = 1,
     progress: Callable[[str], None] | None = None,
 ) -> TournamentCatalog:
-    """Read the catalog and its aut file from cache if present, else
-    enumerate and write both.  Each file is read back only if byte-identical
-    to its pinned file; any other is reported with a CorruptCacheWarning and
-    regenerated.  A missing aut file is recomputed, one canonical search per
-    class, and written, if the directory allows it, without a warning."""
+    """The catalog from cache on a hit, running no canonical search: a hit
+    is the catalog file and its aut file, each byte-identical to its pinned
+    file.  Anything else is a miss, which enumerates on ``threads`` workers
+    and writes both files; a file that is present but not pinned is reported
+    with a CorruptCacheWarning."""
     _check_range(h)
     path = cache_path(h, cache_dir)
     aut_path = path.with_suffix(".aut")
     text = _cached_text(path, _CATALOG_SHA256[h - 1], f"catalog in {path} is not canonical")
-    if text is None:
-        catalog = enumerate_tournaments(h, threads=threads, progress=progress)
-        _write_cache(path, catalog)
-        auts = None
-    else:
-        auts = _cached_text(aut_path, _AUT_SHA256[h - 1],
-                            f"aut counts in {aut_path} are not those of the h={h} catalog")
-        catalog = TournamentCatalog(h, tuple(_read_tournaments(path, h, text)),
-                                    None if auts is None else tuple(map(int, auts.split())))
-    if auts is None:
-        # the aut file only saves searches: an unwritable cache directory
-        # costs the next run the same searches, and no error
-        with suppress(OSError):
-            _write_auts(aut_path, catalog)
+    auts = _cached_text(aut_path, _AUT_SHA256[h - 1],
+                        f"aut counts in {aut_path} are not those of the h={h} catalog")
+    if text is not None and auts is not None:
+        return TournamentCatalog(h, tuple(_read_tournaments(path, h, text)),
+                                 tuple(map(int, auts.split())))
+    catalog = enumerate_tournaments(h, threads=threads, progress=progress)
+    _write_cache(path, catalog)
+    # the aut file only saves an enumeration: an unwritable one costs the
+    # next run the same enumeration, and no error
+    with suppress(OSError):
+        _write_auts(aut_path, catalog)
     return catalog

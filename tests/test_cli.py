@@ -13,7 +13,7 @@ import pytest
 
 from tourlab.cli import main
 from tourlab.construct import BigTournament
-from tourlab.enumeration import _write_cache, cache_path
+from tourlab.enumeration import _write_auts, _write_cache, cache_path
 
 LONG = os.environ.get("TOURLAB_LONG") == "1"
 
@@ -33,6 +33,13 @@ def run(capsys, tmp_path, monkeypatch):
 
     invoke.tmp_path = tmp_path
     return invoke
+
+
+def warm_cache(cwd, catalog) -> None:
+    """Write the catalog and its aut file to the default cache under cwd."""
+    path = cache_path(catalog.h, cwd / ".tourlab-cache")
+    _write_cache(path, catalog)
+    _write_auts(path.with_suffix(".aut"), catalog)
 
 
 def read_csv(text: str) -> list[dict]:
@@ -110,6 +117,13 @@ class TestClassify:
     def test_long_gate(self, run):
         code, _ = run("classify", "--h", "9")
         assert code == 3
+
+    def test_h1_reads_back_from_a_warm_cache(self, run):
+        # the one h=1 class is the empty line after the catalog header
+        cold = run("classify", "--h", "1")
+        assert cold == (0, "h=1 |T_h|=1 |B_h|=0 ratio_approx=0.0\n")
+        assert (run.tmp_path / ".tourlab-cache" / "tournaments_h1.txt").read_text() == "h=1\n\n"
+        assert run("classify", "--h", "1") == cold
 
 
 class TestFasTable:
@@ -289,6 +303,13 @@ class TestTournamentFiles:
         family = (run.tmp_path / "fam.txt").read_text().split()[1:]
         assert BigTournament.load(run.tmp_path / "b.txt").provenance["family"] == family
 
+    def test_h1_enumerate_out_reads_back(self, run, graph):
+        assert run("enumerate", "--h", "1", "--out", "one.txt")[0] == 0
+        code, listed = run("density", "--graph", graph, "--pattern", "one.txt")
+        assert code == 0, run.stderr
+        assert (code, listed) == run("density", "--graph", graph, "--pattern", "all", "--h", "1")
+        assert read_csv(listed)[0]["estimate_num"] == "1"
+
     @pytest.mark.parametrize("text", ["111111\n", "h=4\n\n111111\n   \n\n"],
                              ids=["headerless", "blank-lines"])
     def test_pattern_and_family_files(self, run, graph, text):
@@ -365,6 +386,22 @@ class TestErrors:
         code, _ = run("construct", "--kind", "tnp", "--n", "10", "--p", "7/5",
                       "--seed", "1", "--out", str(tmp_path / "g.txt"))
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["enumerate", "fas-table"])
+    def test_h_below_one_is_a_bad_argument(self, run, command):
+        code, out = run(command, "--h", "0")
+        assert (code, out) == (2, "")
+        assert run.stderr.splitlines()[-1] == "error: enumeration needs h >= 1, got 0"
+
+    @pytest.mark.parametrize("flag", ["--allow-long", "--cache-dir=cache"])
+    def test_construct_takes_no_catalog_flag(self, run, capsys, flag):
+        # construct reads no catalog, so these belong to the commands that do
+        with pytest.raises(SystemExit) as exc:
+            run("construct", "--kind", "tnp", "--n", "10", "--p", "1/2", "--seed", "1",
+                "--out", "g.txt", flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (run.tmp_path / "g.txt").exists()
 
     def test_enumerate_out_directory(self, run, tmp_path):
         (tmp_path / "out").mkdir()
@@ -533,7 +570,8 @@ class TestStats:
         aut_file.unlink()
         code, out = run("fas-table", "--h", "5", "--stats")
         assert (code, out) == (0, plain)
-        assert json.loads(run.stderr.splitlines()[-1])["canon_searches"] == 12  # one a class
+        # a miss: the enumeration's searches, 1 + 2 + 6 + 14 over levels h=2..5
+        assert json.loads(run.stderr.splitlines()[-1])["canon_searches"] == 23
         assert aut_file.read_bytes() == pinned
         assert not recwarn.list
 
@@ -603,7 +641,7 @@ class TestPinnedOutput:
             raise AssertionError("a process pool was started")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        _write_cache(cache_path(8, run.tmp_path / ".tourlab-cache"), catalog8)
+        warm_cache(run.tmp_path, catalog8)
         code, out = run("fas-table", "--h", "8", "--threads", threads)
         assert code == 0, run.stderr
         assert hashlib.sha256(out.encode()).hexdigest() == self.FAS_TABLE_H8
@@ -637,7 +675,7 @@ class TestPinnedOutput:
     @pytest.mark.parametrize("name", sorted(CENSUS_PINS))
     def test_census_stdout_pinned(self, run, catalog8, name):
         n, argv, pin = self.CENSUS_PINS[name]
-        _write_cache(cache_path(8, run.tmp_path / ".tourlab-cache"), catalog8)
+        warm_cache(run.tmp_path, catalog8)
         run("construct", "--kind", "tnp", "--n", str(n), "--p", "3/5",
             "--seed", "1", "--out", "g.txt")
         code, out = run(argv[0], "--graph", "g.txt", *argv[1:])

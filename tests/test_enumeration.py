@@ -162,8 +162,9 @@ def test_unsupported_range():
         enumerate_tournaments(11)
     with pytest.raises(Unsupported, match="hours"):
         enumerate_tournaments(10)
-    with pytest.raises(Unsupported):
+    with pytest.raises(ValueError, match="h >= 1") as below:  # a bad argument, not a guard
         enumerate_tournaments(0)
+    assert not isinstance(below.value, Unsupported)
 
 
 def test_deterministic_across_runs_and_threads():
@@ -217,12 +218,13 @@ class TestCache:
         assert path.exists()
         assert path.read_text().splitlines()[0] == "h=5"
 
-    def test_populated_dir_reads_back_identically(self, tmp_path):
-        first = load_or_enumerate(5, tmp_path)
-        before = cache_path(5, tmp_path).read_text()
-        second = load_or_enumerate(5, tmp_path)
+    @pytest.mark.parametrize("h", range(1, 7))
+    def test_populated_dir_reads_back_identically(self, tmp_path, h):
+        first = load_or_enumerate(h, tmp_path)
+        before = cache_path(h, tmp_path).read_text()
+        second = load_or_enumerate(h, tmp_path)
         assert first == second
-        assert cache_path(5, tmp_path).read_text() == before
+        assert cache_path(h, tmp_path).read_text() == before
 
     def test_truncated_file_regenerates_with_warning(self, tmp_path):
         load_or_enumerate(4, tmp_path)

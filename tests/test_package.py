@@ -12,7 +12,7 @@ import pytest
 
 import tourlab
 from tourlab import bias, construct, core, density
-from tourlab.enumeration import _write_cache, cache_path
+from tourlab.enumeration import _write_auts, _write_cache, cache_path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -119,7 +119,9 @@ def test_census_memory_follows_the_block(tmp_path):
 
 def test_table_memory_follows_one_record(tmp_path, catalog8):
     # holding every record, row and the rendered h=8 table took some 25 MB more
-    _write_cache(cache_path(8, tmp_path / ".tourlab-cache"), catalog8)
+    path = cache_path(8, tmp_path / ".tourlab-cache")
+    _write_cache(path, catalog8)
+    _write_auts(path.with_suffix(".aut"), catalog8)
     catalog_only = _peak_rss_mb("enumerate", "--h", "8", cwd=tmp_path)
     table = _peak_rss_mb("fas-table", "--h", "8", cwd=tmp_path)
     assert table - catalog_only <= 15, (table, catalog_only)
