@@ -28,9 +28,9 @@ from functools import lru_cache
 from math import factorial, gcd
 from typing import Callable, Iterator, NamedTuple
 
-from .core import CanonicalForm, Tournament, aut_size, pair_count
+from .core import CanonicalForm, Tournament, _bits, aut_size, pair_count
 from .enumeration import TournamentCatalog
-from .fas import FasResult, _fas, _histogram_counts, _new_memo
+from .fas import FasResult, _code, _dp_key, _fas, _histogram_counts, _new_memo
 
 __all__ = [
     "ForwardHistogram",
@@ -146,7 +146,7 @@ class ClassificationRecord:
 def forward_histogram(t: Tournament) -> ForwardHistogram:
     """Exact ordering histogram: the full-set entry of the subset DP that
     also gives a(H) (see ``tourlab.fas``)."""
-    return ForwardHistogram(t.h, _histogram_counts(t, _new_memo()))
+    return ForwardHistogram(t.h, _histogram_counts(t.h, _code(t), _new_memo()))
 
 
 _Linear = tuple[int, int]  # a linear factor as (constant, x-coefficient)
@@ -301,21 +301,23 @@ def _classified(
 ) -> Iterator[_Record]:
     """One integer record per class, in catalog order, yielded as soon as it
     exists, so a caller that consumes records as they come holds one
-    subset-DP memo.  aut(H) is the catalog's, so no canonical search runs.
+    subset-DP memo.  It reads the catalog's codes and auts, so it builds no
+    Tournament and runs no canonical search.
 
-    Items are classified in blocks of 4096 consecutive classes, each with
+    Classes are classified in blocks of 4096 consecutive codes, each with
     one subset-DP memo: neighbouring canonical forms share most of their
     sub-tournaments.  ``progress`` receives a status line per block.
     """
-    h, items, auts = catalog.h, catalog.items, catalog.auts
-    step = 4096
-    for start in range(0, len(items), step):
+    h, codes, auts = catalog.h, catalog.codes, catalog.auts
+    m, step = pair_count(h), 4096
+    for start in range(0, len(codes), step):
         memo = _new_memo()
-        for t, aut in zip(items[start : start + step], auts[start : start + step]):
-            nums = _bias_from_counts(h, _histogram_counts(t, memo))
-            yield _Record(h, t.bits, aut, nums, _fas(t, memo))
+        for code, aut in zip(codes[start : start + step], auts[start : start + step]):
+            key = _dp_key(h, code)
+            nums = _bias_from_counts(h, _histogram_counts(h, key, memo))
+            yield _Record(h, _bits(code, m), aut, nums, _fas(h, key, memo))
         if progress is not None:
-            progress(f"classified {min(start + step, len(items))}/{len(items)}")
+            progress(f"classified {min(start + step, len(codes))}/{len(codes)}")
 
 
 def classify_catalog(

@@ -61,7 +61,7 @@ from typing import Iterable, Iterator
 
 from . import core, enumeration, fas
 from .bias import OddCoefficientResidue, _bias_terms, _check_x, _classified, _gain, _Record
-from .core import PackingFailed, TooLarge, Tournament, cyclic3, transitive
+from .core import PackingFailed, TooLarge, Tournament, _bits, cyclic3, pair_count, transitive
 from .enumeration import (
     TournamentCatalog,
     Unsupported,
@@ -103,11 +103,6 @@ def _require(args, *names: str) -> None:
     missing = [f"--{name}" for name in names if getattr(args, name) is None]
     if missing:
         raise ValueError(f"{args.command} needs {', '.join(missing)}")
-
-
-def _cache_dir(args) -> Path:
-    env = os.environ.get("TOURLAB_CACHE")
-    return Path(env) if env else Path(args.cache_dir)
 
 
 def _check_long(h: int, args) -> None:
@@ -198,7 +193,7 @@ def _density_rows(reports) -> tuple[list[str], list[dict]]:
             typical_den=r.typical.denominator,
             ratio_approx=repr(float(r.ratio)),
         )
-        if r.mode == "exact":
+        if exact:
             row["estimate_num"] = r.estimate.numerator
             row["estimate_den"] = r.estimate.denominator
             row["margin"] = "" if r.margin is None else _frac_str(r.margin)
@@ -300,7 +295,7 @@ def _catalog(args, stats: RunStats, host=None) -> TournamentCatalog:
         _census_total(host.n, args.h, _MODES[args.mode], args.samples, args.seed)
     with stats.stage("catalog"):
         return load_or_enumerate(
-            args.h, _cache_dir(args), threads=args.threads, progress=_progress_logger
+            args.h, args.cache_dir, threads=args.threads, progress=_progress_logger
         )
 
 
@@ -390,8 +385,8 @@ def _cmd_density(args, stats: RunStats) -> int:
         if args.h is None:
             raise ValueError("pattern 'all' needs --h")
         catalog = _catalog(args, stats, host=g)
-        classes = [(core.CanonicalForm(t.h, t.bits), aut)
-                   for t, aut in zip(catalog.items, catalog.auts)]
+        classes = [(core.CanonicalForm(args.h, _bits(code, pair_count(args.h))), aut)
+                   for code, aut in zip(catalog.codes, catalog.auts)]
     else:
         classes = [core._canonical(t) for t in _named_patterns(args.pattern, args.h)]
     _census(args, stats, g, classes, args.beta or Fraction(0))
@@ -527,6 +522,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
             return 2
         args = parser.parse_args(argv)
+    if "cache_dir" in args and (env := os.environ.get("TOURLAB_CACHE")):
+        args.cache_dir = env  # the environment overrides --cache-dir
     _log_config(args)
     stats = RunStats()
     code = None

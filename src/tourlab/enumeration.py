@@ -22,6 +22,7 @@ import os
 import warnings
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterator, TextIO
 
@@ -81,30 +82,26 @@ class CorruptCacheWarning(UserWarning):
 
 @dataclass(frozen=True)
 class TournamentCatalog:
-    """All isomorphism classes on h vertices, each item in canonical form,
-    sorted by canon bit sequence, and aut(H) of each item in item order.
-
-    Built by hand without ``auts``, the catalog runs one canonical search per
-    item for them, and raises ValueError for an item not in canonical form."""
+    """All isomorphism classes on h vertices: ``codes``, each canonical form
+    read as a binary number, ascending (the census class table's codes), and
+    ``auts``, aut(H) of each class in that order.  ``items``, the classes as
+    Tournaments, is built on first use, for library callers and iteration."""
 
     h: int
-    items: tuple[Tournament, ...]
-    auts: tuple[int, ...] | None = None
+    codes: tuple[int, ...]
+    auts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.auts is None:
-            auts = []
-            for t in self.items:
-                code, aut = _canon_search(self.h, t.out_masks)
-                if code != int("0" + t.bits, 2):
-                    raise ValueError(f"catalog item {t.bits} is not in canonical form")
-                auts.append(aut)
-            object.__setattr__(self, "auts", tuple(auts))
-        elif len(self.auts) != len(self.items):
-            raise ValueError(f"{len(self.auts)} aut counts for {len(self.items)} items")
+        if len(self.auts) != len(self.codes):
+            raise ValueError(f"{len(self.auts)} aut counts for {len(self.codes)} items")
+
+    @cached_property
+    def items(self) -> tuple[Tournament, ...]:
+        m = pair_count(self.h)
+        return tuple(Tournament(self.h, _bits(code, m)) for code in self.codes)
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.codes)
 
     def __iter__(self):
         return iter(self.items)
@@ -233,9 +230,8 @@ def enumerate_tournaments(
         if progress is not None:
             progress(f"level h={k}: {len(found)} classes, {searched} of "
                      f"{len(level) << (k - 1)} extensions searched")
-    codes = sorted(found)
-    items = tuple(Tournament(h, _bits(value, pair_count(h))) for value in codes)
-    return TournamentCatalog(h, items, tuple(found[value] for value in codes))
+    codes = tuple(sorted(found))
+    return TournamentCatalog(h, codes, tuple(found[code] for code in codes))
 
 
 def cache_path(h: int, cache_dir: Path | str) -> Path:
@@ -274,7 +270,8 @@ def _replacing(path: Path) -> Iterator[TextIO]:
 def _write_cache(path: Path, catalog: TournamentCatalog) -> None:
     """Write an 'h=<h>' header and one canon per line, atomically."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"h={catalog.h}"] + [t.bits for t in catalog.items]
+    m = pair_count(catalog.h)
+    lines = [f"h={catalog.h}"] + [_bits(code, m) for code in catalog.codes]
     with _replacing(path) as stream:
         stream.write("\n".join(lines) + "\n")
 
@@ -285,13 +282,12 @@ def _write_auts(path: Path, catalog: TournamentCatalog) -> None:
         stream.write("".join(f"{aut}\n" for aut in catalog.auts))
 
 
-def _read_tournaments(path: Path, h: int | None, text: str | None = None) -> list[Tournament]:
-    """The tournaments of a file in _write_cache's format, or one written by
-    hand: an optional 'h=<k>' header, which overrides h, then one bit string
-    per line.  For h >= 2 blank lines are skipped; for h = 1 every line is
-    the one-vertex tournament, whose bit string is empty.  ``text`` is the
-    file's contents when the caller has read them already."""
-    lines = (path.read_text() if text is None else text).splitlines()
+def _read_tournaments(path: Path, h: int | None) -> list[Tournament]:
+    """The tournaments of a pattern file written by hand or by ``enumerate
+    --out``: an optional 'h=<k>' header, which overrides h, then one bit
+    string per line, each validated.  For h >= 2 blank lines are skipped; for
+    h = 1 every line is the one-vertex tournament, whose bit string is empty."""
+    lines = path.read_text().splitlines()
     head = next((line for line in lines if line.strip()), "")
     if head.startswith("h="):
         h = int(head[2:])
@@ -309,9 +305,9 @@ def load_or_enumerate(
 ) -> TournamentCatalog:
     """The catalog from cache on a hit, running no canonical search: a hit
     is the catalog file and its aut file, each byte-identical to its pinned
-    file.  Anything else is a miss, which enumerates on ``threads`` workers
-    and writes both files; a file that is present but not pinned is reported
-    with a CorruptCacheWarning."""
+    file, whose lines are read as codes unchecked.  Anything else is a miss,
+    which enumerates on ``threads`` workers and writes both files; a file
+    that is present but not pinned is reported with a CorruptCacheWarning."""
     _check_range(h)
     path = cache_path(h, cache_dir)
     aut_path = path.with_suffix(".aut")
@@ -319,8 +315,8 @@ def load_or_enumerate(
     auts = _cached_text(aut_path, _AUT_SHA256[h - 1],
                         f"aut counts in {aut_path} are not those of the h={h} catalog")
     if text is not None and auts is not None:
-        return TournamentCatalog(h, tuple(_read_tournaments(path, h, text)),
-                                 tuple(map(int, auts.split())))
+        codes = tuple(int(line or "0", 2) for line in text.splitlines()[1:])
+        return TournamentCatalog(h, codes, tuple(map(int, auts.split())))
     catalog = enumerate_tournaments(h, threads=threads, progress=progress)
     _write_cache(path, catalog)
     # the aut file only saves an enumeration: an unwritable one costs the

@@ -63,10 +63,15 @@ _MAX_PRECISION = 1 << 14  # bits of x past which fas_dominance_condition gives u
 _dp_entries = 0
 
 
+def _dp_key(h: int, code: int) -> int:
+    """The DP's key for the h-vertex tournament of bit string ``code``: the
+    code under a leading 1, so that C(h,2), and with it h, can be read back."""
+    return code | 1 << pair_count(h)
+
+
 def _code(t: Tournament) -> int:
-    """The DP's key for t: its bit string read as a binary number under a
-    leading 1, so that C(h,2), and with it h, can be read back from it."""
-    return int("1" + t.bits, 2)
+    """The DP's key for t."""
+    return _dp_key(t.h, int(t.bits or "0", 2))
 
 
 @lru_cache(maxsize=None)
@@ -121,27 +126,25 @@ def _new_memo() -> dict[int, int]:
     return {1: 1}
 
 
-def _histogram_counts(t: Tournament, memo: dict[int, int]) -> tuple[int, ...]:
-    """N[k], k = 0..C(h,2): the digits of t's DP entry."""
-    key = _code(t)
-    packed = memo.get(key) or _packed(t.h, key, memo)
+def _histogram_counts(h: int, key: int, memo: dict[int, int]) -> tuple[int, ...]:
+    """N[k], k = 0..C(h,2): the digits of the DP entry of the h-vertex key."""
+    packed = memo.get(key) or _packed(h, key, memo)
     mask = (1 << _DIGIT) - 1
-    counts = tuple((packed >> (k * _DIGIT)) & mask for k in range(pair_count(t.h) + 1))
-    if sum(counts) != factorial(t.h):
-        raise AssertionError(f"histogram mass {sum(counts)} != {t.h}!")
+    counts = tuple((packed >> (k * _DIGIT)) & mask for k in range(pair_count(h) + 1))
+    if sum(counts) != factorial(h):
+        raise AssertionError(f"histogram mass {sum(counts)} != {h}!")
     return counts
 
 
-def _fas(t: Tournament, memo: dict[int, int]) -> FasResult:
-    """a(H) from best(S), the top digit of S's DP entry, read only along the
-    backtrack.  The witness is rebuilt backwards: the last vertex of S is
-    the smallest v with best(S\\{v}) + k_v = best(S)."""
-    key = _code(t)
-    packed = memo.get(key) or _packed(t.h, key, memo)
+def _fas(h: int, key: int, memo: dict[int, int]) -> FasResult:
+    """a(H) of the h-vertex key from best(S), the top digit of S's DP entry,
+    read only along the backtrack.  The witness is rebuilt backwards: the
+    last vertex of S is the smallest v with best(S\\{v}) + k_v = best(S)."""
+    packed = memo.get(key) or _packed(h, key, memo)
     top = best = (packed.bit_length() - 1) // _DIGIT
-    labels = list(range(t.h))
+    labels = list(range(h))
     order: list[int] = []
-    for k in range(t.h, 1, -1):
+    for k in range(h, 1, -1):
         for i, (runs, row, pairs) in enumerate(_deletions(k)):
             sub = 0
             for mask, shift in runs:
@@ -152,13 +155,13 @@ def _fas(t: Tournament, memo: dict[int, int]) -> FasResult:
         order.append(labels.pop(i))
         key, best = sub, below
     order.append(labels[0])
-    return FasResult(pair_count(t.h) - top, top, tuple(order[::-1]))
+    return FasResult(pair_count(h) - top, top, tuple(order[::-1]))
 
 
 def min_fas(t: Tournament) -> FasResult:
     """Exact a(H) by DP over vertex subsets, with a maximizing ordering;
     ties between last vertices go to the smallest vertex index."""
-    return _fas(t, _new_memo())
+    return _fas(t.h, _code(t), _new_memo())
 
 
 def in_A(t: Tournament, threshold: Fraction | int) -> bool:

@@ -334,7 +334,8 @@ class TestClassifyCatalog:
         assert classify_catalog(catalogs[h]) == expected
 
     def test_one_memo_and_progress_line_per_block(self, catalogs, monkeypatch):
-        items = catalogs[3].items * 2049  # 4098 classes: a full block and two more
+        # 4098 classes: a full block and two more
+        codes, auts = catalogs[3].codes * 2049, catalogs[3].auts * 2049
         real_memo, memos, lines = bias_module._new_memo, [], []
 
         def new_memo():
@@ -342,7 +343,7 @@ class TestClassifyCatalog:
             return memos[-1]
 
         monkeypatch.setattr(bias_module, "_new_memo", new_memo)
-        records = classify_catalog(TournamentCatalog(3, items), progress=lines.append)
+        records = classify_catalog(TournamentCatalog(3, codes, auts), progress=lines.append)
         assert len(memos) == 2
         assert lines == ["classified 4096/4098", "classified 4098/4098"]
         assert records == classify_catalog(catalogs[3]) * 2049

@@ -75,6 +75,13 @@ class TestEnumerate:
         assert code == 0
         assert (tmp_path / "envcache" / "tournaments_h4.txt").exists()
 
+    def test_logged_config_names_the_env_cache(self, run, monkeypatch, tmp_path):
+        monkeypatch.setenv("TOURLAB_CACHE", str(tmp_path / "envcache"))
+        code, _ = run("enumerate", "--h", "4", "--cache-dir", "flagcache")
+        config = json.loads(run.stderr.splitlines()[0].removeprefix("config: "))
+        assert code == 0 and config["cache_dir"] == str(tmp_path / "envcache")
+        assert not (tmp_path / "flagcache").exists()
+
 
 class TestBiasTable:
     def test_table1_reproduced(self, run):

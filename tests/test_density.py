@@ -215,7 +215,7 @@ class TestCanonTable:
         # the pinned aut file
         classes, index = density._class_table(h)
         assert index.dtype == np.int16 and not index.flags.writeable
-        assert list(classes) == [_code(t) for t in catalogs[h]]
+        assert classes == catalogs[h].codes
         assert np.bincount(index).tolist() == [factorial(h) // a for a in catalogs[h].auts]
 
 

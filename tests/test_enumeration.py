@@ -18,7 +18,6 @@ from tourlab.core import (
     canonical_form,
     pair_count,
     pair_index,
-    transitive,
 )
 from tourlab.enumeration import (
     _AUT_SHA256,
@@ -27,6 +26,7 @@ from tourlab.enumeration import (
     TournamentCatalog,
     Unsupported,
     _extend_all,
+    _read_tournaments,
     _write_auts,
     _write_cache,
     cache_path,
@@ -132,20 +132,9 @@ def test_labeled_mass_of_recorded_auts(catalog_at, h):
     assert sum(factorial(h) // aut for aut in catalog_at(h).auts) == 1 << pair_count(h)
 
 
-def test_hand_built_catalog_computes_auts(catalogs):
-    for h in (4, 5):
-        built = TournamentCatalog(h, catalogs[h].items)
-        assert built.auts == catalogs[h].auts == tuple(aut_size(t) for t in catalogs[h])
-
-
-def test_hand_built_catalog_rejects_non_canonical_item():
-    with pytest.raises(ValueError, match="111111 is not in canonical form"):
-        TournamentCatalog(4, (transitive(4),))  # its canonical form is 000000
-
-
 def test_hand_built_catalog_rejects_wrong_aut_count(catalogs):
     with pytest.raises(ValueError, match="3 aut counts for 4 items"):
-        TournamentCatalog(4, catalogs[4].items, (1, 1, 1))
+        TournamentCatalog(4, catalogs[4].codes, (1, 1, 1))
 
 
 def test_items_canonical_sorted_distinct(catalogs):
@@ -323,6 +312,27 @@ class TestCache:
         monkeypatch.setattr(core, "_canon_search", search)
         monkeypatch.setattr(enumeration, "_canon_search", search)
         assert load_or_enumerate(8, tmp_path) == catalog8
+
+    def test_warm_read_builds_no_tournament(self, catalog8, tmp_path, monkeypatch):
+        # the pinned digest vouches for every line, so a hit parses codes only
+        _write_cache(cache_path(8, tmp_path), catalog8)
+        _write_auts(cache_path(8, tmp_path).with_suffix(".aut"), catalog8)
+        real, built = Tournament.__post_init__, []
+
+        def counting(self):
+            built.append(self.bits)
+            real(self)
+
+        monkeypatch.setattr(Tournament, "__post_init__", counting)
+        catalog = load_or_enumerate(8, tmp_path)
+        assert built == []
+        assert catalog.codes == catalog8.codes and catalog.auts == catalog8.auts
+
+    @pytest.mark.parametrize("h", range(1, 9))
+    def test_items_are_the_written_file_read_back(self, catalog_at, tmp_path, h):
+        path = cache_path(h, tmp_path)
+        _write_cache(path, catalog_at(h))
+        assert list(catalog_at(h).items) == _read_tournaments(path, None)
 
     def test_import_does_not_load_hashlib(self, tmp_path):
         # hashlib loads OpenSSL; only a cache read needs it

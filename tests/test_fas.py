@@ -108,7 +108,7 @@ class TestOrderingTable:
         h = 2 + seed % 6
         t = Tournament(h, "".join(rng.choice("01") for _ in range(pair_count(h))))
         memo = _new_memo()
-        _histogram_counts(t, memo)
+        _histogram_counts(h, _code(t), memo)
         # exactly the codes of the induced sub-tournaments, one per subset
         subsets = [[v for v in range(h) if (s >> v) & 1] for s in range(1, 1 << h)]
         assert set(memo) == {_code(induced(t, sub)) for sub in subsets}, t.bits
@@ -121,8 +121,8 @@ class TestOrderingTable:
     def test_shared_memo_equals_fresh_memo(self, catalogs, h):
         shared = _new_memo()
         for t in catalogs[h]:
-            assert _histogram_counts(t, shared) == forward_histogram(t).counts, t.bits
-            assert _fas(t, shared) == min_fas(t), t.bits
+            assert _histogram_counts(h, _code(t), shared) == forward_histogram(t).counts, t.bits
+            assert _fas(h, _code(t), shared) == min_fas(t), t.bits
 
     @pytest.mark.parametrize("h", range(1, 8))
     def test_catalog_records_equal_single_tournament_results(self, catalogs, h):
