@@ -282,11 +282,12 @@ def _gain(nums: tuple[int, ...], x: Fraction) -> Fraction:
 
 
 class _Record(NamedTuple):
-    """One class's classification in integers: B(H,x)'s even numerators over
-    aut 2^m (``_bias_from_counts``) and the feedback arc set."""
+    """One class's classification in integers: its canonical code and aut,
+    B(H,x)'s even numerators over aut 2^m (``_bias_from_counts``) and the
+    feedback arc set."""
 
     h: int
-    bits: str
+    code: int
     aut: int
     nums: tuple[int, ...]
     fas: FasResult
@@ -308,14 +309,13 @@ def _classified(
     one subset-DP memo: neighbouring canonical forms share most of their
     sub-tournaments.  ``progress`` receives a status line per block.
     """
-    h, codes, auts = catalog.h, catalog.codes, catalog.auts
-    m, step = pair_count(h), 4096
+    h, codes, auts, step = catalog.h, catalog.codes, catalog.auts, 4096
     for start in range(0, len(codes), step):
         memo = _new_memo()
         for code, aut in zip(codes[start : start + step], auts[start : start + step]):
             key = _dp_key(h, code)
             nums = _bias_from_counts(h, _histogram_counts(h, key, memo))
-            yield _Record(h, _bits(code, m), aut, nums, _fas(h, key, memo))
+            yield _Record(h, code, aut, nums, _fas(h, key, memo))
         if progress is not None:
             progress(f"classified {min(start + step, len(codes))}/{len(codes)}")
 
@@ -325,6 +325,7 @@ def classify_catalog(
 ) -> list[ClassificationRecord]:
     """One ClassificationRecord per class, in catalog order, from the
     records of ``_classified``: the one place that builds their Fractions."""
-    return [ClassificationRecord(CanonicalForm(rec.h, rec.bits), rec.aut, _typical(rec.h, rec.aut),
+    return [ClassificationRecord(CanonicalForm(rec.h, _bits(rec.code, pair_count(rec.h))),
+                                 rec.aut, _typical(rec.h, rec.aut),
                                  _bias_polynomial(rec.h, rec.aut, rec.nums), rec.fas, rec.in_Bh)
             for rec in _classified(catalog, progress)]

@@ -163,7 +163,7 @@ def _classification_row(rec: _Record, with_fas_extras: bool) -> dict:
     _, d_num, d_den = terms[0]
     row = dict(
         h=rec.h,
-        canon=rec.bits,
+        canon=_bits(rec.code, pair_count(rec.h)),
         aut=rec.aut,
         d_num=d_num,
         d_den=d_den,
@@ -367,12 +367,12 @@ def _host(args, stats: RunStats):
         return BigTournament.load(args.graph)
 
 
-def _census(args, stats: RunStats, g, classes: list, beta: Fraction) -> list:
-    """Measure the (canonical form, aut) classes in g by --mode and write
-    the report rows."""
+def _census(args, stats: RunStats, g, h: int, classes: Iterable, beta: Fraction) -> list:
+    """Measure the h-vertex (canonical code, aut) classes in g by --mode and
+    write the report rows."""
     from .density import _reports
     with stats.stage("census"):
-        reports = _reports(classes, g, beta, _MODES[args.mode], args.samples, args.seed)
+        reports = _reports(h, classes, g, beta, _MODES[args.mode], args.samples, args.seed)
     with stats.stage("output"):
         _write_rows(*_density_rows(reports), args.format, args.out)
     return reports
@@ -385,11 +385,11 @@ def _cmd_density(args, stats: RunStats) -> int:
         if args.h is None:
             raise ValueError("pattern 'all' needs --h")
         catalog = _catalog(args, stats, host=g)
-        classes = [(core.CanonicalForm(args.h, _bits(code, pair_count(args.h))), aut)
-                   for code, aut in zip(catalog.codes, catalog.auts)]
+        h, classes = catalog.h, zip(catalog.codes, catalog.auts)
     else:
-        classes = [core._canonical(t) for t in _named_patterns(args.pattern, args.h)]
-    _census(args, stats, g, classes, args.beta or Fraction(0))
+        patterns = _named_patterns(args.pattern, args.h)
+        h, classes = patterns[0].h, [core._canon_search(t.h, t.out_masks) for t in patterns]
+    _census(args, stats, g, h, classes, args.beta or Fraction(0))
     return 0
 
 
@@ -398,14 +398,13 @@ def _cmd_dominance_check(args, stats: RunStats) -> int:
     x = _check_x(args.x)
     g = _host(args, stats)
     records = _records(args, stats, host=g)
-    with stats.stage("select"):  # each F(h,x) member's B(H,x)/d(H) - 1, by (form, aut)
-        gains = {(core.CanonicalForm(rec.h, rec.bits), rec.aut): gain for rec in records
-                 if (gain := _gain(rec.nums, x)) > 0}
+    with stats.stage("select"):  # each F(h,x) member's B(H,x)/d(H) - 1, by (code, aut)
+        gains = {(rec.code, rec.aut): gain for rec in records if (gain := _gain(rec.nums, x)) > 0}
         beta = min(gains.values()) / 2 if gains and args.beta is None else args.beta
     if not gains:
         print(f"h={args.h} x={_frac_str(x)} family=0 satisfied=0")
         return 0
-    reports = _census(args, stats, g, list(gains), beta)
+    reports = _census(args, stats, g, args.h, gains, beta)
     satisfied = sum(1 for r in reports if r.margin is not None and r.margin > 0)
     print(
         f"h={args.h} x={_frac_str(x)} beta={_frac_str(beta)} "

@@ -3,8 +3,11 @@
 A tournament on h vertices is an orientation of the complete graph K_h.
 It is stored as a bit string of length C(h,2) over the fixed pair order
 (1,2),(1,3),...,(1,h),(2,3),...: bit '1' at pair (i,j) with i<j means the
-edge is directed i->j, bit '0' means j->i.  Vertices are 1-based in this
-documentation and in all serialized formats; the Python API is 0-based.
+edge is directed i->j, bit '0' means j->i.  Read as a binary number, MSB
+first, the bit string is the tournament's code (``_value``; ``_bits`` turns
+it back), the form in which the package passes classes internally.
+Vertices are 1-based in this documentation and in all serialized formats;
+the Python API is 0-based.
 
 All values are immutable after construction and safe to share between
 concurrent workers.
@@ -91,6 +94,11 @@ def _bits(value: int, m: int) -> str:
     return format(value, f"0{m}b") if m else ""
 
 
+def _value(bits: str) -> int:
+    """A bit string read as a binary number, MSB first: its code (0 for '')."""
+    return int(bits or "0", 2)
+
+
 def pair_index(u, v, n: int):
     """Index of the 0-based pair u<v in the fixed pair order (also on int64 arrays)."""
     return u * (n - 1) - u * (u - 1) // 2 + (v - u - 1)
@@ -130,13 +138,7 @@ class Tournament:
     @cached_property
     def out_masks(self) -> tuple[int, ...]:
         """Per-vertex bitmask of out-neighbours."""
-        masks = [0] * self.h
-        for (u, v), bit in zip(combinations(range(self.h), 2), self.bits):
-            if bit == "1":
-                masks[u] |= 1 << v
-            else:
-                masks[v] |= 1 << u
-        return tuple(masks)
+        return _out_masks(self.h, _value(self.bits))
 
     def edge_bit(self, u: int, v: int) -> int:
         """1 if the edge between u<v is directed u->v, else 0."""
@@ -158,6 +160,20 @@ class Tournament:
         for v, label in enumerate(p):
             inv[label] = v
         return _oriented(self.h, lambda a, b: self.has_edge(inv[a], inv[b]))
+
+
+def _out_masks(h: int, code: int) -> tuple[int, ...]:
+    """Per-vertex out-neighbour bitmasks of the h-vertex tournament ``code``:
+    pair u<v is bit ``_shift(u, v, h)``, counted down in the fixed pair order."""
+    masks = [0] * h
+    shift = pair_count(h)
+    for u, v in combinations(range(h), 2):
+        shift -= 1
+        if code >> shift & 1:
+            masks[u] |= 1 << v
+        else:
+            masks[v] |= 1 << u
+    return tuple(masks)
 
 
 def _oriented(h: int, edge) -> Tournament:
@@ -272,20 +288,14 @@ def _canon_search(h: int, out: tuple[int, ...]) -> tuple[int, int]:
     return best, naut
 
 
-def _canonical(t: Tournament) -> tuple[CanonicalForm, int]:
-    """Canonical form and aut(t), from one canonical search."""
-    value, naut = _canon_search(t.h, t.out_masks)
-    return CanonicalForm(t.h, _bits(value, t.m)), naut
-
-
 def canonical_form(t: Tournament) -> CanonicalForm:
     """Canonical form of t; equal canonical forms <=> isomorphic."""
-    return _canonical(t)[0]
+    return CanonicalForm(t.h, _bits(_canon_search(t.h, t.out_masks)[0], t.m))
 
 
 def aut_size(t: Tournament) -> int:
     """Order of the automorphism group of t; divides h!."""
-    return _canonical(t)[1]
+    return _canon_search(t.h, t.out_masks)[1]
 
 
 def _vertex_count(g) -> int:

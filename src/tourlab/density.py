@@ -6,12 +6,13 @@ every subset; Monte-Carlo mode samples subsets with replacement.  Both
 count labeled patterns: the orientation bits of an induced sub-tournament,
 MSB-first in the fixed pair order, form its pattern code.  For h <= 7 a
 dense code -> class-index table maps each block of codes to classes, which
-numpy tallies; above, numpy tallies the codes and each distinct code is
-mapped to its isomorphism class once, at the end, by canonical search.  So
-measuring a whole catalog against one G costs a single pass.  Both modes
-read G through its adjacency matrix ``g.adj``, flattened so entry u*n + v
-is 1 iff u -> v; G's pair order stays in ``construct``, and a pattern code
-takes each pair's bit at ``core._shift``, the one home of that layout.
+numpy tallies; above, numpy tallies the codes and maps each distinct one
+to its class once, at the end, by canonical search on masks built from
+it.  So one census, keyed by canonical code, measures a whole catalog
+against one G in a single pass.  Both modes read G through its adjacency
+matrix ``g.adj``, flattened so entry u*n + v is 1 iff u -> v; G's pair
+order stays in ``construct``, and a pattern code takes each pair's bit at
+``core._shift``, the one home of that layout.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .bias import _typical, bias_margin
 from .core import (
-    CanonicalForm, TooLarge, Tournament, _bits, _canonical, _shift, canonical_form, pair_count,
+    CanonicalForm, TooLarge, Tournament, _bits, _canon_search, _out_masks, _shift, pair_count,
 )
 from .construct import BigTournament, check_seed
 
@@ -51,12 +52,12 @@ EXACT_SUBSET_GUARD = 10**8
 MC_DRAW_GUARD = 16
 _CHUNK = 1 << 16  # pattern codes computed per step, exact or Monte Carlo
 _TABLE_MAX_H = 7  # largest h with a dense code -> class table (2^21 int16, 4 MB)
-# Above _TABLE_MAX_H each distinct code costs a canonical search: 45-62 us a
-# subset at h=8, n=14..18 on one core of a 2-vCPU host: under a minute at the
-# guard, which bounds exact subsets and Monte-Carlo samples alike.
+# Above _TABLE_MAX_H each distinct code costs a canonical search: 23-26 us a
+# subset at h=8, n=14..18 on one core of a 2-vCPU host: under half a minute at
+# the guard, which bounds exact subsets and Monte-Carlo samples alike.
 _SEARCH_SUBSET_GUARD = 10**6
 _SEARCH_COST = (f"for h > {_TABLE_MAX_H}, where each {{}} costs up to a canonical "
-                f"search (about 55 us)")
+                f"search (about 25 us)")
 
 
 @dataclass(frozen=True)
@@ -119,29 +120,28 @@ def _class_table(h: int) -> tuple[tuple[int, ...], np.ndarray]:
     return tuple(classes), index
 
 
-def _census(h: int, blocks: Iterable[np.ndarray]) -> dict[str, int]:
-    """{canonical bits: count} over all labeled pattern codes in blocks.
+def _census(h: int, blocks: Iterable[np.ndarray]) -> dict[int, int]:
+    """{canonical code: count} over all labeled pattern codes in blocks.
 
     Up to _TABLE_MAX_H each block is mapped to class indices through the
-    dense table and tallied over the classes.  Above it, where a 2^C(h,2)
-    table does not fit, labeled codes are tallied first and each distinct
-    code is mapped to its class once, at the end, by canonical search.
-    There one np.unique runs over the codes of the whole request, never
-    block by block: exact censuses of structured hosts repeat codes across
-    blocks, and per-block dedup searched 143,394 codes where this searches
-    79,550 (h=8, tnp n=24 p=9/10 seed 5).
+    dense table and tallied over the classes, in catalog order.  Above it,
+    labeled codes are tallied first and each distinct code is mapped to its
+    class once, at the end, by canonical search on masks built from the
+    code.  There one np.unique runs over the codes of the whole request,
+    never block by block: exact censuses of structured hosts repeat codes
+    across blocks, and per-block dedup searched 143,394 codes where this
+    searches 79,550 (h=8, tnp n=24 p=9/10 seed 5).
     """
-    m = pair_count(h)
     if h <= _TABLE_MAX_H:
         classes, index = _class_table(h)
         counts = np.zeros(len(classes), dtype=np.int64)
         for codes in blocks:
             counts += np.bincount(index[codes], minlength=len(classes))
-        return {_bits(c, m): n for c, n in zip(classes, counts.tolist()) if n}
+        return {c: n for c, n in zip(classes, counts.tolist()) if n}
     values, counts = np.unique(np.concatenate(list(blocks)), return_counts=True)
-    census: dict[str, int] = {}
+    census: dict[int, int] = {}
     for value, count in zip(values.tolist(), counts.tolist()):
-        key = canonical_form(Tournament(h, _bits(value, m))).bits
+        key = _canon_search(h, _out_masks(h, value))[0]
         census[key] = census.get(key, 0) + count
     return census
 
@@ -187,17 +187,19 @@ def _census_total(
 ) -> int:
     """The subsets a census request scans: C(n,h) in exact mode, ``samples``
     in Monte-Carlo mode.  Raises before any census work: ValueError for a
-    pattern that does not fit the host, an unknown mode, or Monte-Carlo
-    samples or seed missing or out of range; TooLarge past the exact guard
-    (_SEARCH_SUBSET_GUARD above _TABLE_MAX_H), past _SEARCH_SUBSET_GUARD
-    Monte-Carlo samples above _TABLE_MAX_H, or past the Monte-Carlo draw
-    guard.
+    pattern that does not fit the host, an unknown mode, samples or a seed
+    in exact mode, or Monte-Carlo samples or seed missing or out of range;
+    TooLarge past the exact guard (_SEARCH_SUBSET_GUARD above _TABLE_MAX_H),
+    past _SEARCH_SUBSET_GUARD Monte-Carlo samples above _TABLE_MAX_H, or
+    past the Monte-Carlo draw guard.
     """
     if mode not in ("exact", "montecarlo"):
         raise ValueError(f"mode must be 'exact' or 'montecarlo', got {mode!r}")
     if not 1 <= h <= n:
         raise ValueError(f"pattern size {h} does not fit a host on {n} vertices")
     if mode == "exact":
+        if samples is not None or seed is not None:
+            raise ValueError("exact mode takes no samples or seed")
         total = comb(n, h)
         search = h > _TABLE_MAX_H
         guard = _SEARCH_SUBSET_GUARD if search else EXACT_SUBSET_GUARD
@@ -230,7 +232,8 @@ def density_census(g: BigTournament, h: int) -> dict[str, int]:
     Counts all C(n,h) subsets (guarded); the counts sum to C(n,h).
     """
     _census_total(g.n, h)
-    return _census(h, _exact_codes(g, h))
+    m = pair_count(h)
+    return {_bits(code, m): count for code, count in _census(h, _exact_codes(g, h)).items()}
 
 
 def _subset_patterns(g: BigTournament, subsets: np.ndarray) -> np.ndarray:
@@ -267,7 +270,7 @@ def _repeats(rows: np.ndarray) -> np.ndarray:
     return same
 
 
-def _mc_census(g: BigTournament, h: int, samples: int, seed: int) -> dict[str, int]:
+def _mc_census(g: BigTournament, h: int, samples: int, seed: int) -> dict[int, int]:
     """Census of samples uniform h-subsets: chunks of _CHUNK rows drawn in
     sequence from one Philox stream keyed by seed."""
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -310,46 +313,30 @@ def dominance_report(
     its class and its aut; a caller that holds both runs none through
     ``_reports``.  With a beta, ``margin > 0`` means the pattern beats
     (1+beta) times typical."""
-    return _reports([_canonical(t) for t in patterns], g, beta, mode, samples, seed)
-
-
-def _reports(classes: list[tuple[CanonicalForm, int]], g: BigTournament, beta: Fraction | None,
-             mode: str, samples: int | None, seed: int | None) -> list[DensityReport]:
-    """``dominance_report`` of the classes given as (canonical form, aut)."""
-    if not classes:
-        return []
-    h = classes[0][0].h
-    if any(form.h != h for form, _ in classes):
+    if len({t.h for t in patterns}) > 1:
         raise ValueError("all patterns must share the same vertex count")
+    classes = [_canon_search(t.h, t.out_masks) for t in patterns]
+    return _reports(patterns[0].h, classes, g, beta, mode, samples, seed) if patterns else []
+
+
+def _reports(h: int, classes: Iterable[tuple[int, int]], g: BigTournament,
+             beta: Fraction | None, mode: str, samples: int | None,
+             seed: int | None) -> list[DensityReport]:
+    """``dominance_report`` of the h-vertex classes given as (canonical code,
+    aut), each looked up in the census by its code; values stay exact until
+    reported, as Fractions in exact mode and floats in Monte Carlo."""
     total = _census_total(g.n, h, mode, samples, seed)
-    if mode == "exact":
-        census, samples, seed = _census(h, _exact_codes(g, h)), None, None
-    else:
-        census = _mc_census(g, h, samples, seed)
+    exact = mode == "exact"
+    census = _census(h, _exact_codes(g, h)) if exact else _mc_census(g, h, samples, seed)
+    reported, m = Fraction if exact else float, pair_count(h)
     reports = []
-    for form, aut in classes:
+    for code, aut in classes:
         typical = _typical(h, aut)
-        hits = census.get(form.bits, 0)
-        if mode == "exact":
-            estimate: Fraction | float = Fraction(hits, total)
-            stderr = None
-            ratio: Fraction | float = estimate / typical
-            margin = None if beta is None else estimate - (1 + Fraction(beta)) * typical
-        else:
-            estimate = hits / total
-            stderr = sqrt(estimate * (1 - estimate) / total)
-            ratio = estimate / float(typical)
-            margin = None if beta is None else estimate - float((1 + Fraction(beta)) * typical)
+        estimate = reported(Fraction(census.get(code, 0), total))
+        stderr = None if exact else sqrt(estimate * (1 - estimate) / total)
+        margin = None if beta is None else estimate - reported((1 + Fraction(beta)) * typical)
         reports.append(DensityReport(
-            pattern=form,
-            n=g.n,
-            mode=mode,
-            samples=samples,
-            seed=seed,
-            estimate=estimate,
-            stderr=stderr,
-            typical=typical,
-            ratio=ratio,
-            margin=margin,
-        ))
+            pattern=CanonicalForm(h, _bits(code, m)), n=g.n, mode=mode, samples=samples,
+            seed=seed, estimate=estimate, stderr=stderr, typical=typical,
+            ratio=estimate / reported(typical), margin=margin))
     return reports

@@ -27,7 +27,9 @@ from pathlib import Path
 from typing import Callable, Iterator, TextIO
 
 from . import core
-from .core import _VERTICES, Tournament, _bits, _canon_search, pair_count, parse
+from .core import (
+    _VERTICES, Tournament, _bits, _canon_search, _out_masks, _value, pair_count, parse,
+)
 
 __all__ = [
     "TournamentCatalog",
@@ -128,11 +130,11 @@ def _process_pool(workers: int):
     return ProcessPoolExecutor(max_workers=workers)
 
 
-def _extend_all(h: int, parents: list[str]) -> tuple[dict[int, int], int]:
-    """Extend (h-1)-vertex canonical forms by one vertex and return the
-    canon ints reached, each mapped to the aut its search found (aut is a
-    class invariant, so every search that reaches the class agrees), with
-    the number of canonical searches run.
+def _extend_all(h: int, parents: list[int]) -> tuple[dict[int, int], int]:
+    """Extend (h-1)-vertex classes, given by their canonical codes, by one
+    vertex and return the canonical codes reached, each mapped to the aut
+    its search found (aut is a class invariant, so every search that
+    reaches the class agrees), with the number of canonical searches run.
 
     A vertex's key is its score (out-degree) and then s2, the sum of the
     scores of its out-neighbours: s2 = C(score, 2) + the 3-cycles through
@@ -156,8 +158,8 @@ def _extend_all(h: int, parents: list[str]) -> tuple[dict[int, int], int]:
     found: dict[int, int] = {}
     searched = 0
     full_old = (1 << (h - 1)) - 1
-    for bits in parents:
-        parent = Tournament(h - 1, bits).out_masks
+    for code in parents:
+        parent = _out_masks(h - 1, code)
         scores = [mask.bit_count() for mask in parent]
         top = min(scores) + 1
         must, eq = [0] * h, [0] * h
@@ -180,8 +182,8 @@ def _extend_all(h: int, parents: list[str]) -> tuple[dict[int, int], int]:
                 parent[v] | (((pattern >> v) & 1) << (h - 1)) for v in range(h - 1)
             ]
             masks.append(~pattern & full_old)
-            code, aut = _canon_search(h, tuple(masks))
-            found[code] = aut
+            child, aut = _canon_search(h, tuple(masks))
+            found[child] = aut
             searched += 1
     return found, searched
 
@@ -216,7 +218,7 @@ def enumerate_tournaments(
     workers = _pool_size(threads)
     found = {0: 1}  # the one 1-vertex class
     for k in range(2, h + 1):
-        level = [_bits(value, pair_count(k - 1)) for value in sorted(found)]
+        level = sorted(found)
         if workers > 1 and len(level) >= 4 * workers:
             chunks = [level[i::workers] for i in range(workers)]
             found, searched = {}, 0
@@ -315,7 +317,7 @@ def load_or_enumerate(
     auts = _cached_text(aut_path, _AUT_SHA256[h - 1],
                         f"aut counts in {aut_path} are not those of the h={h} catalog")
     if text is not None and auts is not None:
-        codes = tuple(int(line or "0", 2) for line in text.splitlines()[1:])
+        codes = tuple(map(_value, text.splitlines()[1:]))
         return TournamentCatalog(h, codes, tuple(map(int, auts.split())))
     catalog = enumerate_tournaments(h, threads=threads, progress=progress)
     _write_cache(path, catalog)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import ceil, factorial, floor, isqrt
 
-from .core import Tournament, _shift, pair_count
+from .core import Tournament, _shift, _value, pair_count
 
 __all__ = [
     "FasResult",
@@ -71,7 +71,7 @@ def _dp_key(h: int, code: int) -> int:
 
 def _code(t: Tournament) -> int:
     """The DP's key for t."""
-    return _dp_key(t.h, int(t.bits or "0", 2))
+    return _dp_key(t.h, _value(t.bits))
 
 
 @lru_cache(maxsize=None)

@@ -269,6 +269,10 @@ BAD_CENSUS_REQUESTS = [
     ("zero-samples", "20", ("--h", "4", "--mode", "mc", "--samples", "0", "--seed", "1"), 2,
      "need samples >= 1"),
     ("pattern-larger-than-host", "4", ("--h", "5"), 2, "does not fit a host on 4 vertices"),
+    ("exact-with-samples", "20", ("--h", "4", "--samples", "5"), 2,
+     "exact mode takes no samples or seed"),
+    ("exact-with-seed", "20", ("--h", "4", "--mode", "exact", "--seed", "1"), 2,
+     "exact mode takes no samples or seed"),
     ("exact-guard", "200", ("--h", "6"), 3, "exceeds the exact-mode guard"),
     # C(40,8) = 76,904,685 passes the 10^8 guard, but each subset costs up to a
     # canonical search above h=7
@@ -435,6 +439,15 @@ class TestErrors:
                         "--samples", samples, "--seed", "1")
         assert code == 2 and out == ""
         assert "need samples >= 1" in run.stderr.splitlines()[-1]
+
+    @pytest.mark.parametrize("flags", [("--samples", "5"), ("--seed", "1")])
+    def test_exact_mode_refuses_samples_and_seed(self, run, flags):
+        # exact mode counts every subset, so a sample count or a seed would go unread
+        run("construct", "--kind", "tnp", "--n", "12", "--p", "1/2",
+            "--seed", "1", "--out", "g12.txt")
+        code, out = run("density", "--graph", "g12.txt", "--pattern", "T4", *flags)
+        assert (code, out) == (2, "")
+        assert run.stderr.splitlines()[-1] == "error: exact mode takes no samples or seed"
 
     def test_mc_pattern_larger_than_host(self, run, monkeypatch):
         from tourlab import density

@@ -13,7 +13,9 @@ import pytest
 from tourlab import core, density
 from tourlab.bias import XOutOfRange, density_poly_p
 from tourlab.construct import build_tnp
-from tourlab.core import Tournament, aut_size, canonical_form, cyclic3, pair_count, transitive
+from tourlab.core import (
+    Tournament, _bits, aut_size, canonical_form, cyclic3, pair_count, transitive,
+)
 from tourlab.density import (
     TooLarge,
     bias_margin,
@@ -175,6 +177,11 @@ def _code(t: Tournament) -> int:
     return int(t.bits, 2) if t.bits else 0
 
 
+def _keyed_by_bits(h: int, census: dict[int, int]) -> dict[str, int]:
+    """A census keyed by canonical code, keyed by canonical bits instead."""
+    return {_bits(code, pair_count(h)): count for code, count in census.items()}
+
+
 class TestCanonTable:
     # OEIS A000568: tournaments on h unlabeled vertices
     CLASSES = {1: 1, 2: 1, 3: 2, 4: 4, 5: 12, 6: 56, 7: 456}
@@ -259,7 +266,7 @@ class TestCensus:
         g = build_tnp(n, Fraction(1, 2), seed=12)
         subsets = np.array(list(combinations(range(n), h)))
         codes = density._subset_patterns(g, subsets)
-        assert density_census(g, h) == density._census(h, [codes])
+        assert density_census(g, h) == _keyed_by_bits(h, density._census(h, [codes]))
 
     @pytest.mark.parametrize("h", [5, 6, 7])
     def test_many_blocks_against_a_census_without_the_table(self, monkeypatch, h):
@@ -289,7 +296,24 @@ class TestCensus:
         before = core._canon_searches
         census = density_census(g, 8)
         assert core._canon_searches - before == distinct
-        assert census == density._census(8, [codes])
+        assert census == _keyed_by_bits(8, density._census(8, [codes]))
+
+    def test_search_census_builds_no_tournament(self, monkeypatch):
+        # above h=7 each distinct code is searched on masks built from the code
+        g = build_tnp(10, Fraction(9, 10), seed=1)
+        distinct = len(np.unique(np.concatenate(list(density._exact_codes(g, 8)))))
+        real, built = Tournament.__post_init__, []
+
+        def counting(self):
+            built.append(self.bits)
+            real(self)
+
+        monkeypatch.setattr(Tournament, "__post_init__", counting)
+        before = core._canon_searches
+        census = density_census(g, 8)
+        assert built == []
+        assert core._canon_searches - before == distinct
+        assert sum(census.values()) == comb(10, 8)
 
 
 class TestMonteCarlo:
@@ -389,6 +413,16 @@ class TestDominanceReport:
         before = core._canon_searches
         reports = dominance_report(list(catalogs[6].items), g)
         assert core._canon_searches - before == len(reports) == 56
+
+    @pytest.mark.parametrize("samples, seed", [(5, None), (None, 1), (5, 1)])
+    def test_exact_mode_refuses_samples_and_seed(self, monkeypatch, samples, seed):
+        def no_codes(*args):
+            raise AssertionError("computed pattern codes for a refused request")
+
+        monkeypatch.setattr(density, "_exact_codes", no_codes)
+        g = build_tnp(20, Fraction(1, 2), seed=6)
+        with pytest.raises(ValueError, match="exact mode takes no samples or seed"):
+            dominance_report([transitive(4)], g, mode="exact", samples=samples, seed=seed)
 
     def test_empty_subset(self):
         g = build_tnp(20, Fraction(1, 2), seed=6)

@@ -13,7 +13,6 @@ import pytest
 from tourlab import core, enumeration
 from tourlab.core import (
     Tournament,
-    _canonical,
     aut_size,
     canonical_form,
     pair_count,
@@ -83,12 +82,11 @@ def test_extend_all_reaches_every_extension_class(catalogs, h):
     # every class reached, each with its aut
     parents = catalogs[h - 1]
     every = {
-        int(form.bits, 2): aut
+        int(canonical_form(t).bits, 2): aut_size(t)
         for parent in parents
-        for pattern in range(1 << (h - 1))
-        for form, aut in [_canonical(_extension(parent, pattern))]
+        for t in (_extension(parent, pattern) for pattern in range(1 << (h - 1)))
     }
-    found, searched = _extend_all(h, [t.bits for t in parents])
+    found, searched = _extend_all(h, list(catalogs[h - 1].codes))
     assert found == every
     assert len(every) <= searched < len(parents) << (h - 1)
 
@@ -117,8 +115,22 @@ def test_extend_all_searches_the_least_key_extensions(catalogs, h):
         for parent in parents
         for pattern in range(1 << (h - 1))
     )
-    _, searched = _extend_all(h, [t.bits for t in parents])
+    _, searched = _extend_all(h, list(catalogs[h - 1].codes))
     assert searched == least == SEARCHED[h]
+
+
+def test_enumeration_builds_no_tournament(monkeypatch):
+    # each level passes canonical codes, and a parent's out-masks come from its code
+    real, built = Tournament.__post_init__, []
+
+    def counting(self):
+        built.append(self.bits)
+        real(self)
+
+    monkeypatch.setattr(Tournament, "__post_init__", counting)
+    catalog = enumerate_tournaments(8)
+    assert built == []
+    assert len(catalog) == 6880
 
 
 @pytest.mark.parametrize("h", range(3, 9))
