@@ -14,10 +14,10 @@ Both are one expansion, sum_k N[k] up^k down^(m-k), with the linear
 factors (1+2x, 1-2x) for B and (p, 1-p) for d: the terms are packed
 big integers at X = 2^D, and the coefficients are read back as the m+1
 signed base-X digits of the sum.  Everything here is exact: coefficients
-are integer numerators over aut(H) * 2^m (B) or aut(H) (d), converted to
-Fraction at the boundary.  Classifying a catalog runs no canonical search,
-since the catalog records aut(H), and ``in_F`` and ``bias_margin`` run
-none: B(H,x)/d(H) is a ratio of B's numerators, in which aut cancels.
+are integer numerators over aut(H) * 2^m (B) or aut(H) (d); a Fraction is
+built only when a value is read.  Classifying a catalog runs no canonical
+search, since the catalog records aut(H), and ``in_F`` and ``bias_margin``
+run none: B(H,x)/d(H) is a ratio of B's numerators, in which aut cancels.
 """
 
 from __future__ import annotations
@@ -129,18 +129,6 @@ class BiasPolynomial:
                 term = f"{c}*x^{e}"
             parts.append(term)
         return " + ".join(parts).replace("+ -", "- ")
-
-
-@dataclass(frozen=True)
-class ClassificationRecord:
-    """Per-isomorphism-class bundle of computed invariants."""
-
-    canonical_form: CanonicalForm
-    aut: int
-    typical_density: Fraction
-    bias: BiasPolynomial
-    fas: FasResult
-    in_Bh: bool
 
 
 def forward_histogram(t: Tournament) -> ForwardHistogram:
@@ -281,10 +269,10 @@ def _gain(nums: tuple[int, ...], x: Fraction) -> Fraction:
     return Fraction(top * p, nums[0] * scale)
 
 
-class _Record(NamedTuple):
-    """One class's classification in integers: its canonical code and aut,
-    B(H,x)'s even numerators over aut 2^m (``_bias_from_counts``) and the
-    feedback arc set."""
+class ClassificationRecord(NamedTuple):
+    """One class's classification in integers: canonical code, aut, B(H,x)'s
+    even numerators over aut 2^m and the feedback arc set.  Each read of a
+    property below computes its exact value from them; none is stored."""
 
     h: int
     code: int
@@ -293,17 +281,29 @@ class _Record(NamedTuple):
     fas: FasResult
 
     @property
+    def canonical_form(self) -> CanonicalForm:
+        return CanonicalForm(self.h, _bits(self.code, pair_count(self.h)))
+
+    @property
+    def typical_density(self) -> Fraction:
+        return _typical(self.h, self.aut)
+
+    @property
+    def bias(self) -> BiasPolynomial:
+        return _bias_polynomial(self.h, self.aut, self.nums)
+
+    @property
     def in_Bh(self) -> bool:
         return _rises_at_zero(self.nums)
 
 
 def _classified(
     catalog: TournamentCatalog, progress: Callable[[str], None] | None = None
-) -> Iterator[_Record]:
-    """One integer record per class, in catalog order, yielded as soon as it
-    exists, so a caller that consumes records as they come holds one
-    subset-DP memo.  It reads the catalog's codes and auts, so it builds no
-    Tournament and runs no canonical search.
+) -> Iterator[ClassificationRecord]:
+    """One record per class, in catalog order, yielded as soon as it exists,
+    so a caller that consumes records as they come holds one subset-DP memo.
+    It reads the catalog's codes and auts, so it builds no Tournament and
+    no Fraction, and runs no canonical search.
 
     Classes are classified in blocks of 4096 consecutive codes, each with
     one subset-DP memo: neighbouring canonical forms share most of their
@@ -315,7 +315,7 @@ def _classified(
         for code, aut in zip(codes[start : start + step], auts[start : start + step]):
             key = _dp_key(h, code)
             nums = _bias_from_counts(h, _histogram_counts(h, key, memo))
-            yield _Record(h, code, aut, nums, _fas(h, key, memo))
+            yield ClassificationRecord(h, code, aut, nums, _fas(h, key, memo))
         if progress is not None:
             progress(f"classified {min(start + step, len(codes))}/{len(codes)}")
 
@@ -323,9 +323,6 @@ def _classified(
 def classify_catalog(
     catalog: TournamentCatalog, progress: Callable[[str], None] | None = None
 ) -> list[ClassificationRecord]:
-    """One ClassificationRecord per class, in catalog order, from the
-    records of ``_classified``: the one place that builds their Fractions."""
-    return [ClassificationRecord(CanonicalForm(rec.h, _bits(rec.code, pair_count(rec.h))),
-                                 rec.aut, _typical(rec.h, rec.aut),
-                                 _bias_polynomial(rec.h, rec.aut, rec.nums), rec.fas, rec.in_Bh)
-            for rec in _classified(catalog, progress)]
+    """One ClassificationRecord per class, in catalog order: the records of
+    ``_classified``, whose Fractions are built only when read."""
+    return list(_classified(catalog, progress))

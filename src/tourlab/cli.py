@@ -60,7 +60,9 @@ from time import perf_counter
 from typing import Iterable, Iterator
 
 from . import core, enumeration, fas
-from .bias import OddCoefficientResidue, _bias_terms, _check_x, _classified, _gain, _Record
+from .bias import (
+    ClassificationRecord, OddCoefficientResidue, _bias_terms, _check_x, _classified, _gain,
+)
 from .core import PackingFailed, TooLarge, Tournament, _bits, cyclic3, pair_count, transitive
 from .enumeration import (
     TournamentCatalog,
@@ -148,7 +150,7 @@ def _write_rows(fieldnames: list[str], rows: Iterable[dict], fmt: str, out: str 
 
 
 def _classification_rows(
-    records: Iterable[_Record], with_fas_extras: bool
+    records: Iterable[ClassificationRecord], with_fas_extras: bool
 ) -> tuple[list[str], Iterator[dict]]:
     names = ["h", "canon", "aut", "d_num", "d_den", "fas", "in_Bh", "coeffs"]
     if with_fas_extras:
@@ -156,7 +158,7 @@ def _classification_rows(
     return names, (_classification_row(rec, with_fas_extras) for rec in records)
 
 
-def _classification_row(rec: _Record, with_fas_extras: bool) -> dict:
+def _classification_row(rec: ClassificationRecord, with_fas_extras: bool) -> dict:
     """One table row from an integer record: the terms of its bias
     polynomial, whose constant is the typical density."""
     terms = _bias_terms(rec.h, rec.aut, rec.nums)
@@ -196,11 +198,11 @@ def _density_rows(reports) -> tuple[list[str], list[dict]]:
         if exact:
             row["estimate_num"] = r.estimate.numerator
             row["estimate_den"] = r.estimate.denominator
-            row["margin"] = "" if r.margin is None else _frac_str(r.margin)
+            row["margin"] = _frac_str(r.margin)
         else:
             row["estimate"] = repr(r.estimate)
             row["stderr"] = repr(r.stderr)
-            row["margin"] = "" if r.margin is None else repr(r.margin)
+            row["margin"] = repr(r.margin)
         rows.append(row)
     return names, rows
 
@@ -299,7 +301,7 @@ def _catalog(args, stats: RunStats, host=None) -> TournamentCatalog:
         )
 
 
-def _records(args, stats: RunStats, host=None) -> Iterator[_Record]:
+def _records(args, stats: RunStats, host=None) -> Iterator[ClassificationRecord]:
     """One integer classification record per class of the --h catalog, in
     catalog order, as each is classified; the catalog is read before this
     returns."""
@@ -405,7 +407,7 @@ def _cmd_dominance_check(args, stats: RunStats) -> int:
         print(f"h={args.h} x={_frac_str(x)} family=0 satisfied=0")
         return 0
     reports = _census(args, stats, g, args.h, gains, beta)
-    satisfied = sum(1 for r in reports if r.margin is not None and r.margin > 0)
+    satisfied = sum(1 for r in reports if r.margin > 0)
     print(
         f"h={args.h} x={_frac_str(x)} beta={_frac_str(beta)} "
         f"family={len(gains)} satisfied={satisfied}"

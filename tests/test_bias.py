@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from tourlab import bias as bias_module
 from tourlab import core
 from tourlab.bias import (
-    ClassificationRecord,
     OddCoefficientResidue,
     XOutOfRange,
     _bias_from_counts,
@@ -318,20 +317,35 @@ class TestClassifyCatalog:
 
     @pytest.mark.parametrize("h", [5, 6, 7])
     def test_records_equal_an_independent_build(self, catalogs, h):
-        # the public records come from integer records and the catalog's
-        # auts; here every field comes from the public one-tournament API
+        # the records hold integers and the catalog's auts; here every value
+        # they are read as comes from the public one-tournament API
         expected = [
-            ClassificationRecord(
-                canonical_form=canonical_form(t),
-                aut=aut_size(t),
-                typical_density=typical_density(t),
-                bias=bias_polynomial(t),
-                fas=min_fas(t),
-                in_Bh=in_bias_subset(t),
-            )
+            (canonical_form(t), aut_size(t), typical_density(t), bias_polynomial(t),
+             min_fas(t), in_bias_subset(t))
             for t in catalogs[h]
         ]
-        assert classify_catalog(catalogs[h]) == expected
+        assert [
+            (rec.canonical_form, rec.aut, rec.typical_density, rec.bias, rec.fas, rec.in_Bh)
+            for rec in classify_catalog(catalogs[h])
+        ] == expected
+
+    def test_records_build_fractions_only_when_read(self, catalogs, monkeypatch):
+        built = []
+
+        class CountingFraction(Fraction):
+            def __new__(cls, *args, **kwargs):
+                built.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(bias_module, "Fraction", CountingFraction)
+        records = classify_catalog(catalogs[6])
+        assert len(records) == 56 and built == []
+        t, rec = list(catalogs[6].items)[-1], records[-1]
+        bias = rec.bias
+        read_bias = len(built)
+        density = rec.typical_density
+        assert 0 < read_bias < len(built)
+        assert bias == bias_polynomial(t) and density == typical_density(t)
 
     def test_one_memo_and_progress_line_per_block(self, catalogs, monkeypatch):
         # 4098 classes: a full block and two more
